@@ -11,15 +11,16 @@
 //   parity_checker check  <golden-dir> [--metrics]
 //
 // Plus the corpus-container drill (replay/container.hpp): pack an
-// envelope corpus or corpus set into a chunked compressed "HWCC"
-// container, unpack one back to its envelope form, and verify a
-// container by streaming every chunk (checksums + decode) — optionally
-// frame-for-frame bit-exact against the golden envelope it was packed
-// from:
+// envelope corpus into a chunked compressed "HWCC" container, unpack one
+// back to its envelope form, and verify a container by streaming every
+// chunk (checksums + decode) — optionally frame-for-frame bit-exact
+// against the golden envelope it was packed from. Multi-pole corpus sets
+// exist on disk only as multi-stream containers, so `verify` accepts
+// them and `unpack` and the golden comparison take single corpora only:
 //
-//   parity_checker pack   <in.frames|in.hwfs> <out.hwcc> [--chunk N]
-//   parity_checker unpack <in.hwcc> <out-file>
-//   parity_checker verify <in.hwcc> [golden-file]
+//   parity_checker pack   <in.frames> <out.hwcc> [--chunk N]
+//   parity_checker unpack <in.hwcc> <out.frames>
+//   parity_checker verify <in.hwcc> [golden.frames]
 //
 // Everything that defines the golden setup (sensor geometry, model
 // architecture, seeds) is a constant below: `check` rebuilds the exact
@@ -30,15 +31,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "classifiers/hawc_model.hpp"
 #include "classifiers/quantized_classifier.hpp"
+#include "replay/binary_io.hpp"
 #include "replay/container.hpp"
-#include "replay/corpus_set.hpp"
 #include "replay/model_io.hpp"
 #include "replay/parity_checker.hpp"
 #include "replay/replay_driver.hpp"
@@ -232,13 +232,15 @@ int run_check(const std::filesystem::path& dir, bool dump_metrics) {
 
 // ---- corpus container pack / unpack / verify -----------------------------
 
-std::uint32_t sniff_magic(const std::filesystem::path& path) {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) throw io_error{"cannot open " + path.string()};
-    std::uint32_t magic = 0;
-    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    if (!in) throw io_error{path.string() + ": too short to carry a magic"};
-    return magic;
+// Bit-exact frame comparison through the shared wire encoding, so the
+// non-finite coordinates fault-injected corpora carry compare equal to
+// themselves (operator== would call every NaN frame divergent).
+bool same_bits(const replay::frame_record& a, const replay::frame_record& b) {
+    replay::byte_writer wa;
+    replay::byte_writer wb;
+    replay::write_frame_record(wa, a);
+    replay::write_frame_record(wb, b);
+    return wa.bytes() == wb.bytes();
 }
 
 int run_pack(const std::filesystem::path& in, const std::filesystem::path& out,
@@ -246,25 +248,12 @@ int run_pack(const std::filesystem::path& in, const std::filesystem::path& out,
     replay::container_options options;
     if (chunk_frames > 0) options.frames_per_chunk = chunk_frames;
 
-    const std::uint32_t magic = sniff_magic(in);
-    std::size_t frames = 0;
-    if (magic == replay::frame_corpus_magic) {
-        const replay::frame_corpus corpus = replay::load_corpus_file(in);
-        frames = corpus.size();
-        replay::pack_corpus_file(out, corpus, options);
-    } else if (magic == replay::corpus_set_magic) {
-        const replay::pole_corpus_set set = replay::load_corpus_set_file(in);
-        frames = set.total_frames();
-        replay::pack_corpus_set_file(out, set, options);
-    } else {
-        std::cerr << "pack: " << in.string() << " is neither a frame corpus (HWFR) nor a "
-                  << "pole corpus set (HWFS)\n";
-        return 2;
-    }
+    const replay::frame_corpus corpus = replay::load_corpus_file(in);
+    replay::pack_corpus_file(out, corpus, options);
 
     const auto in_size = std::filesystem::file_size(in);
     const auto out_size = std::filesystem::file_size(out);
-    std::cout << "packed " << in.string() << " (" << in_size << " B, " << frames
+    std::cout << "packed " << in.string() << " (" << in_size << " B, " << corpus.size()
               << " frames) -> " << out.string() << " (" << out_size << " B, ratio "
               << (out_size > 0
                       ? static_cast<double>(in_size) / static_cast<double>(out_size)
@@ -275,11 +264,12 @@ int run_pack(const std::filesystem::path& in, const std::filesystem::path& out,
 
 int run_unpack(const std::filesystem::path& in, const std::filesystem::path& out) {
     replay::container_reader reader{in};
-    if (reader.kind() == replay::container_kind::corpus) {
-        replay::save_corpus_file(out, replay::unpack_corpus(reader));
-    } else {
-        replay::save_corpus_set_file(out, replay::unpack_corpus_set(reader));
+    if (reader.kind() != replay::container_kind::corpus) {
+        std::cerr << "unpack: " << in.string()
+                  << " is a corpus-set container; sets have no envelope form\n";
+        return 2;
     }
+    replay::save_corpus_file(out, replay::unpack_corpus(reader));
     std::cout << "unpacked " << in.string() << " -> " << out.string() << "\n";
     return 0;
 }
@@ -317,25 +307,15 @@ int run_verify(const std::filesystem::path& container,
 
     // Golden comparison: frame-for-frame bit-exact against the envelope
     // artifact the container was packed from.
+    const replay::frame_corpus want = replay::load_corpus_file(golden);
+    const replay::frame_corpus got = replay::unpack_corpus(reader);
     std::size_t divergent = 0;
-    const std::uint32_t magic = sniff_magic(golden);
-    if (magic == replay::frame_corpus_magic) {
-        const replay::frame_corpus want = replay::load_corpus_file(golden);
-        const replay::frame_corpus got = replay::unpack_corpus(reader);
-        if (got.name != want.name || got.base_seed != want.base_seed ||
-            got.size() != want.size()) {
-            ++divergent;
-        }
-        for (std::size_t i = 0; i < want.size() && i < got.size(); ++i) {
-            if (!(got.frames[i] == want.frames[i])) ++divergent;
-        }
-    } else if (magic == replay::corpus_set_magic) {
-        const replay::pole_corpus_set want = replay::load_corpus_set_file(golden);
-        const replay::pole_corpus_set got = replay::unpack_corpus_set(reader);
-        if (!(got == want)) ++divergent;
-    } else {
-        std::cerr << "verify: unrecognized golden artifact " << golden.string() << "\n";
-        return 2;
+    if (got.name != want.name || got.base_seed != want.base_seed ||
+        got.size() != want.size()) {
+        ++divergent;
+    }
+    for (std::size_t i = 0; i < want.size() && i < got.size(); ++i) {
+        if (!same_bits(got.frames[i], want.frames[i])) ++divergent;
     }
     if (divergent != 0) {
         std::cerr << "verify: container DIVERGES from " << golden.string() << " ("
@@ -384,8 +364,8 @@ int main(int argc, char** argv) {
         return 2;
     }
     std::cerr << "usage: parity_checker record|check [golden-dir] [--metrics]\n"
-                 "       parity_checker pack <in.frames|in.hwfs> <out.hwcc> [--chunk N]\n"
-                 "       parity_checker unpack <in.hwcc> <out-file>\n"
-                 "       parity_checker verify <in.hwcc> [golden-file]\n";
+                 "       parity_checker pack <in.frames> <out.hwcc> [--chunk N]\n"
+                 "       parity_checker unpack <in.hwcc> <out.frames>\n"
+                 "       parity_checker verify <in.hwcc> [golden.frames]\n";
     return 2;
 }

@@ -8,9 +8,11 @@
 #      the telemetry registry/span suite, and the multi-writer event log)
 #   3. A bench-snapshot smoke run (the perf harness still builds, runs,
 #      and emits parseable JSON)
-#   4. The telemetry overhead gate on an unsanitized Release build
-#      (tracing a clean frame must cost <= 2%; the bench exits nonzero
-#      past the budget)
+#   4. The layered overhead gate on an unsanitized Release build:
+#      bench_overhead times bare crowd_counter, frame_supervisor, + trace
+#      sink, + event log/flight recorder/SLO on clean frames and exits
+#      nonzero when the supervisor costs > 5%, the trace sink > 2% or the
+#      obs stack > 2% over the layer below
 #   5. The golden-corpus parity gate (Release build): fp32-vs-int8 and
 #      1-vs-N-thread replays over data/golden must show zero divergences
 #   6. The static-analysis gate (scripts/lint.sh): analyzer self-test,
@@ -24,9 +26,7 @@
 #      (scripts/perf_gate.sh; HAWC_PERF_TOLERANCE scales the budget)
 #   9. The flight-recorder drill (Release build): the fault-injected
 #      eight-pole postmortem example must dump a bundle that replays
-#      bit-exactly and complete an SLO alert fire/resolve cycle, and
-#      bench_obs_overhead must show the obs stack costing <= 2% on
-#      clean frames
+#      bit-exactly and complete an SLO alert fire/resolve cycle
 #  10. The corpus-container drill (Release build): pack both golden
 #      corpora into chunked compressed "HWCC" containers, verify them
 #      frame-for-frame bit-exact against the envelope originals, and
@@ -74,12 +74,12 @@ cmake --build "${smoke_build}" --target bench_snapshot -j "$(nproc)"
 python3 -m json.tool /tmp/hawc_bench_smoke.json >/dev/null
 echo "bench snapshot smoke OK"
 
-echo "== phase 4/10: telemetry overhead gate (Release, <= 2%) =="
+echo "== phase 4/10: layered overhead gate (Release; supervisor <= 5%, trace <= 2%, obs <= 2%) =="
 perf_build="${repo_root}/build"
 cmake -B "${perf_build}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
-cmake --build "${perf_build}" --target bench_telemetry_overhead -j "$(nproc)"
-"${perf_build}/bench/bench_telemetry_overhead"
-echo "telemetry overhead gate OK"
+cmake --build "${perf_build}" --target bench_overhead -j "$(nproc)"
+"${perf_build}/bench/bench_overhead"
+echo "overhead gate OK"
 
 echo "== phase 5/10: golden-corpus parity gate =="
 cmake --build "${perf_build}" --target parity_checker -j "$(nproc)"
@@ -103,13 +103,12 @@ cmake --build "${perf_build}" --target bench_snapshot -j "$(nproc)"
 "${perf_build}/bench/bench_snapshot" 1 > /tmp/hawc_bench_perf.json
 "${repo_root}/scripts/perf_gate.sh" /tmp/hawc_bench_perf.json
 
-echo "== phase 9/10: flight-recorder drill + obs overhead gate (Release) =="
-cmake --build "${perf_build}" --target pole_postmortem bench_obs_overhead -j "$(nproc)"
+echo "== phase 9/10: flight-recorder drill (Release) =="
+cmake --build "${perf_build}" --target pole_postmortem -j "$(nproc)"
 "${perf_build}/examples/pole_postmortem" 240 /tmp/hawc_postmortem_drill.hawcpm \
   > /tmp/hawc_pole_postmortem.txt
 grep -q "postmortem replay: bit-exact" /tmp/hawc_pole_postmortem.txt
 grep -q "Alert poles_excluded: fired and resolved" /tmp/hawc_pole_postmortem.txt
-"${perf_build}/bench/bench_obs_overhead"
 echo "flight-recorder drill OK"
 
 echo "== phase 10/10: corpus-container pack/verify drill (Release) =="

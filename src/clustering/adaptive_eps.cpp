@@ -12,27 +12,9 @@ namespace hawc {
 std::vector<double> knn_distance_curve(const point_cloud& cloud, std::size_t k,
                                        const cluster_metric& metric) {
     HAWC_REQUIRE(k >= 1, "k must be at least 1");
-    std::vector<double> distances;
-    if (cloud.size() <= k) return distances;
-
+    if (cloud.size() <= k) return {};
     const point_cloud scaled = metric.scale(cloud);
-    const kd_tree tree{scaled};
-    distances.resize(scaled.size());
-    // One independent k-NN query per point: fan out over the pool with a
-    // reused allocation-free scratch buffer per chunk. The sort below
-    // erases chunk order, but even the unsorted curve is identical for
-    // any thread count.
-    global_pool().parallel_for(0, scaled.size(), 64, [&](std::size_t lo, std::size_t hi,
-                                                         std::size_t /*slot*/) {
-        std::vector<neighbor> neighbors;
-        for (std::size_t i = lo; i < hi; ++i) {
-            // k+1 because the query point itself is its own 0-th neighbour.
-            tree.nearest_into(scaled[i], k + 1, neighbors);
-            distances[i] = neighbors.back().distance;
-        }
-    });
-    std::sort(distances.begin(), distances.end());
-    return distances;
+    return knn_distance_curve_scaled(scaled, kd_tree{scaled}, k);
 }
 
 std::size_t knee_index(std::span<const double> ascending) {
@@ -56,10 +38,15 @@ std::vector<double> knn_distance_curve_scaled(const point_cloud& scaled_cloud,
     std::vector<double> distances;
     if (scaled_cloud.size() <= k) return distances;
     distances.resize(scaled_cloud.size());
+    // One independent k-NN query per point: fan out over the pool with a
+    // reused allocation-free scratch buffer per chunk. The sort below
+    // erases chunk order, but even the unsorted curve is identical for
+    // any thread count.
     global_pool().parallel_for(0, scaled_cloud.size(), 64, [&](std::size_t lo, std::size_t hi,
                                                                std::size_t /*slot*/) {
         std::vector<neighbor> neighbors;
         for (std::size_t i = lo; i < hi; ++i) {
+            // k+1 because the query point itself is its own 0-th neighbour.
             tree.nearest_into(scaled_cloud[i], k + 1, neighbors);
             distances[i] = neighbors.back().distance;
         }
@@ -103,11 +90,8 @@ void publish_eps(const telemetry_handle& telem, double eps) {
 
 double adaptive_epsilon(const point_cloud& cloud, const adaptive_eps_config& config,
                         const telemetry_handle& telem) {
-    telemetry::scoped_span span{telem, "eps_selection"};
-    const auto curve = knn_distance_curve(cloud, config.k, config.metric);
-    const double eps = epsilon_from_curve(curve, config);
-    publish_eps(telem, eps);
-    return eps;
+    const point_cloud scaled = config.metric.scale(cloud);
+    return adaptive_epsilon_scaled(scaled, kd_tree{scaled}, config, telem);
 }
 
 double adaptive_epsilon_scaled(const point_cloud& scaled_cloud, const kd_tree& tree,

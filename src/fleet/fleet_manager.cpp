@@ -243,28 +243,28 @@ alert quarantine_rate if rate(hawc_fleet_quarantines_total) > 0.02 window 16/64 
 )");
 }
 
-fleet_replay_result replay_corpus_set(fleet_manager& fleet,
-                                      const replay::pole_corpus_set& set,
-                                      std::uint64_t drain_ticks) {
-    HAWC_REQUIRE(set.pole_count() == fleet.pole_count(),
-                 "corpus set pole count must match the fleet");
-    std::size_t longest = 0;
-    for (std::size_t i = 0; i < set.poles.size(); ++i) {
-        HAWC_REQUIRE(set.poles[i].corpus.base_seed == fleet.pole(i).stream_seed(),
-                     "pole stream seed must equal its corpus base_seed");
-        longest = std::max(longest, set.poles[i].corpus.size());
-    }
+namespace {
 
+// The one fleet replay tick loop: tick t submits frame t of every pole
+// that still has one (`frame_at(pole, t)`), then `drain_ticks` empty
+// ticks flush delayed messages and backlogs. Both replay entry points go
+// through here, so a packed set replays bit-identically to its in-memory
+// original by construction.
+template <class FrameAt>
+fleet_replay_result replay_ticks(fleet_manager& fleet, const std::vector<std::uint64_t>& lengths,
+                                 FrameAt frame_at, std::uint64_t drain_ticks) {
+    const std::uint64_t longest =
+        lengths.empty() ? 0 : *std::max_element(lengths.begin(), lengths.end());
     fleet_replay_result result;
-    for (std::size_t frame = 0; frame < longest; ++frame) {
-        for (std::size_t i = 0; i < set.poles.size(); ++i) {
-            const auto& corpus = set.poles[i].corpus;
-            if (frame >= corpus.size()) continue;
+    for (std::uint64_t frame = 0; frame < longest; ++frame) {
+        for (std::size_t pole = 0; pole < lengths.size(); ++pole) {
+            if (frame >= lengths[pole]) continue;
+            const replay::frame_record& record = frame_at(pole, frame);
             link_message msg;
             msg.frame_index = frame;
-            msg.ground_truth = corpus.frames[frame].ground_truth;
-            msg.cloud = corpus.frames[frame].cloud;
-            fleet.submit(i, std::move(msg));
+            msg.ground_truth = record.ground_truth;
+            msg.cloud = record.cloud;
+            fleet.submit(pole, std::move(msg));
             ++result.frames_submitted;
         }
         fleet.tick();
@@ -277,6 +277,27 @@ fleet_replay_result replay_corpus_set(fleet_manager& fleet,
     return result;
 }
 
+}  // namespace
+
+fleet_replay_result replay_corpus_set(fleet_manager& fleet,
+                                      const replay::pole_corpus_set& set,
+                                      std::uint64_t drain_ticks) {
+    HAWC_REQUIRE(set.pole_count() == fleet.pole_count(),
+                 "corpus set pole count must match the fleet");
+    std::vector<std::uint64_t> lengths;
+    for (std::size_t i = 0; i < set.poles.size(); ++i) {
+        HAWC_REQUIRE(set.poles[i].corpus.base_seed == fleet.pole(i).stream_seed(),
+                     "pole stream seed must equal its corpus base_seed");
+        lengths.push_back(set.poles[i].corpus.size());
+    }
+    return replay_ticks(
+        fleet, lengths,
+        [&](std::size_t pole, std::uint64_t frame) -> const replay::frame_record& {
+            return set.poles[pole].corpus.frames[static_cast<std::size_t>(frame)];
+        },
+        drain_ticks);
+}
+
 fleet_replay_result replay_container_set(fleet_manager& fleet,
                                          replay::container_reader& reader,
                                          std::uint64_t drain_ticks) {
@@ -284,38 +305,23 @@ fleet_replay_result replay_container_set(fleet_manager& fleet,
                  "streaming fleet replay needs a corpus-set container");
     HAWC_REQUIRE(reader.stream_count() == fleet.pole_count(),
                  "container stream count must match the fleet");
-    std::uint64_t longest = 0;
+    std::vector<std::uint64_t> lengths;
     for (std::uint32_t s = 0; s < reader.stream_count(); ++s) {
         HAWC_REQUIRE(reader.stream(s).base_seed == fleet.pole(s).stream_seed(),
                      "pole stream seed must equal its container base_seed");
-        longest = std::max(longest, reader.frame_count(s));
+        lengths.push_back(reader.frame_count(s));
     }
     // One hot chunk per pole keeps the tick-order round-robin from
     // thrashing a single cache slot.
     if (reader.cache_capacity() < fleet.pole_count()) {
         reader.set_cache_capacity(fleet.pole_count());
     }
-
-    fleet_replay_result result;
-    for (std::uint64_t frame = 0; frame < longest; ++frame) {
-        for (std::uint32_t s = 0; s < reader.stream_count(); ++s) {
-            if (frame >= reader.frame_count(s)) continue;
-            const replay::frame_record& record = reader.frame(s, frame);
-            link_message msg;
-            msg.frame_index = frame;
-            msg.ground_truth = record.ground_truth;
-            msg.cloud = record.cloud;
-            fleet.submit(s, std::move(msg));
-            ++result.frames_submitted;
-        }
-        fleet.tick();
-        ++result.ticks;
-    }
-    for (std::uint64_t i = 0; i < drain_ticks; ++i) {
-        fleet.tick();
-        ++result.ticks;
-    }
-    return result;
+    return replay_ticks(
+        fleet, lengths,
+        [&](std::size_t pole, std::uint64_t frame) -> const replay::frame_record& {
+            return reader.frame(static_cast<std::uint32_t>(pole), frame);
+        },
+        drain_ticks);
 }
 
 }  // namespace hawc::fleet

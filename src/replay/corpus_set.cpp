@@ -1,77 +1,6 @@
 #include "replay/corpus_set.hpp"
 
-#include <fstream>
-#include <sstream>
-
-#include "common/error.hpp"
-#include "replay/binary_io.hpp"
-
 namespace hawc::replay {
-
-std::size_t pole_corpus_set::total_frames() const {
-    std::size_t total = 0;
-    for (const auto& p : poles) total += p.corpus.size();
-    return total;
-}
-
-void save_corpus_set(std::ostream& out, const pole_corpus_set& set) {
-    // Each inner corpus is embedded as its own full envelope (magic,
-    // version, checksum) inside the set payload, so a corpus extracted
-    // from a set file is byte-identical to the same corpus saved alone,
-    // and corruption localises to one pole's block.
-    byte_writer payload;
-    payload.str(set.name);
-    payload.u64(static_cast<std::uint64_t>(set.poles.size()));
-    for (const auto& pole : set.poles) {
-        payload.str(pole.pole_id);
-        std::ostringstream block;
-        save_corpus(block, pole.corpus);
-        const std::string bytes = block.str();
-        payload.u64(static_cast<std::uint64_t>(bytes.size()));
-        payload.raw(bytes.data(), bytes.size());
-    }
-    write_envelope(out, corpus_set_magic, corpus_set_version, payload);
-}
-
-pole_corpus_set load_corpus_set(std::istream& in) {
-    const envelope env =
-        read_envelope(in, corpus_set_magic, corpus_set_version, "pole corpus set");
-    byte_reader reader{env.payload};
-    pole_corpus_set set;
-    set.name = reader.str();
-    const std::uint64_t pole_count = reader.u64();
-    if (pole_count > env.payload.size()) {
-        throw io_error{"pole corpus set: implausible pole count"};
-    }
-    set.poles.reserve(static_cast<std::size_t>(pole_count));
-    for (std::uint64_t p = 0; p < pole_count; ++p) {
-        pole_corpus pole;
-        pole.pole_id = reader.str();
-        const std::uint64_t block_size = reader.u64();
-        if (block_size > reader.remaining()) {
-            throw io_error{"pole corpus set: truncated corpus block"};
-        }
-        std::string bytes(static_cast<std::size_t>(block_size), '\0');
-        reader.raw(bytes.data(), bytes.size());
-        std::istringstream block{bytes};
-        pole.corpus = load_corpus(block);
-        set.poles.push_back(std::move(pole));
-    }
-    reader.expect_exhausted("pole corpus set");
-    return set;
-}
-
-void save_corpus_set_file(const std::filesystem::path& path, const pole_corpus_set& set) {
-    std::ofstream out{path, std::ios::binary};
-    if (!out) throw io_error{"cannot open " + path.string() + " for writing"};
-    save_corpus_set(out, set);
-}
-
-pole_corpus_set load_corpus_set_file(const std::filesystem::path& path) {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) throw io_error{"cannot open " + path.string()};
-    return load_corpus_set(in);
-}
 
 pole_corpus_set record_corpus_set(const record_config& base,
                                   const std::vector<std::string>& pole_ids) {

@@ -2,16 +2,14 @@
 
 // Multi-pole corpus sets: the fleet-scale extension of frame_corpus. A
 // corpus set bundles one recorded frame sequence per pole, each tagged
-// with its pole id, under a single checksummed envelope — so a whole
-// campus chaos scenario checks in as one golden file. The per-pole
+// with its pole id. On disk a set is a multi-stream "HWCC" container
+// (replay/container.hpp: pack_corpus_set / unpack_corpus_set), so a whole
+// campus chaos scenario checks in as one file. The per-pole
 // corpora keep their own base seeds: the fleet replays pole p's frames
 // with exactly the rng streams a solo frame_supervisor replay of that
 // corpus would use, which is what makes healthy-pole bit-exactness
 // testable (see fleet_manager.hpp::replay_corpus_set).
 
-#include <cstdint>
-#include <filesystem>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -19,9 +17,6 @@
 #include "replay/replay_driver.hpp"
 
 namespace hawc::replay {
-
-inline constexpr std::uint32_t corpus_set_magic = 0x53465748;  // "HWFS"
-inline constexpr std::uint16_t corpus_set_version = 1;
 
 /// One pole's recorded sequence inside a set.
 struct pole_corpus {
@@ -37,17 +32,9 @@ struct pole_corpus_set {
 
     std::size_t pole_count() const { return poles.size(); }
     bool empty() const { return poles.empty(); }
-    /// Frames summed over every pole.
-    std::size_t total_frames() const;
 
     bool operator==(const pole_corpus_set&) const = default;
 };
-
-void save_corpus_set(std::ostream& out, const pole_corpus_set& set);
-pole_corpus_set load_corpus_set(std::istream& in);
-
-void save_corpus_set_file(const std::filesystem::path& path, const pole_corpus_set& set);
-pole_corpus_set load_corpus_set_file(const std::filesystem::path& path);
 
 /// Record one corpus per pole id. Each pole gets an independent seed
 /// derived from `base.seed` via the frame_seed splitmix, and the corpus

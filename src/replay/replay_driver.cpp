@@ -47,29 +47,31 @@ frame_corpus record_corpus(const record_config& config) {
 
 namespace {
 
-void accumulate(replay_result& result, frame_report report, std::uint32_t ground_truth) {
-    switch (report.status) {
-        case frame_status::ok: ++result.frames_ok; break;
-        case frame_status::degraded: ++result.frames_degraded; break;
-        case frame_status::dropped: ++result.frames_dropped; break;
-    }
-    result.total_count += report.count;
-    const auto truth = static_cast<std::size_t>(ground_truth);
-    result.absolute_count_error +=
-        report.count > truth ? report.count - truth : truth - report.count;
-    result.reports.push_back(std::move(report));
-}
-
-replay_result replay_frames(frame_supervisor& supervisor, const frame_corpus& corpus,
-                            const std::uint64_t* indices) {
+// The one per-frame replay loop: frame i (fetched by `frame_at`) runs on
+// the rng stream frame_seed(base_seed, indices ? indices[i] : i). Every
+// replay entry point goes through here, so "a packed corpus replays
+// bit-identically to its in-memory original" holds by construction.
+template <class FrameAt>
+replay_result replay_frames(frame_supervisor& supervisor, std::uint64_t base_seed,
+                            std::size_t frames, FrameAt frame_at,
+                            const std::uint64_t* indices = nullptr) {
     replay_result result;
-    result.reports.reserve(corpus.size());
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        const std::size_t stream =
-            indices != nullptr ? static_cast<std::size_t>(indices[i]) : i;
-        rng random{frame_seed(corpus.base_seed, stream)};
-        accumulate(result, supervisor.process(corpus.frames[i].cloud, random),
-                   corpus.frames[i].ground_truth);
+    result.reports.reserve(frames);
+    for (std::size_t i = 0; i < frames; ++i) {
+        const frame_record& frame = frame_at(i);
+        const std::size_t stream = indices != nullptr ? static_cast<std::size_t>(indices[i]) : i;
+        rng random{frame_seed(base_seed, stream)};
+        frame_report report = supervisor.process(frame.cloud, random);
+        switch (report.status) {
+            case frame_status::ok: ++result.frames_ok; break;
+            case frame_status::degraded: ++result.frames_degraded; break;
+            case frame_status::dropped: ++result.frames_dropped; break;
+        }
+        result.total_count += report.count;
+        const auto truth = static_cast<std::size_t>(frame.ground_truth);
+        result.absolute_count_error +=
+            report.count > truth ? report.count - truth : truth - report.count;
+        result.reports.push_back(std::move(report));
     }
     return result;
 }
@@ -77,29 +79,29 @@ replay_result replay_frames(frame_supervisor& supervisor, const frame_corpus& co
 }  // namespace
 
 replay_result replay_corpus(frame_supervisor& supervisor, const frame_corpus& corpus) {
-    return replay_frames(supervisor, corpus, nullptr);
+    return replay_frames(
+        supervisor, corpus.base_seed, corpus.size(),
+        [&](std::size_t i) -> const frame_record& { return corpus.frames[i]; });
 }
 
 replay_result replay_corpus_indexed(frame_supervisor& supervisor, const frame_corpus& corpus,
                                     std::span<const std::uint64_t> indices) {
     HAWC_REQUIRE(indices.size() == corpus.size(),
                  "indexed replay needs one stream index per frame");
-    return replay_frames(supervisor, corpus, indices.data());
+    return replay_frames(
+        supervisor, corpus.base_seed, corpus.size(),
+        [&](std::size_t i) -> const frame_record& { return corpus.frames[i]; },
+        indices.data());
 }
 
 replay_result replay_container(frame_supervisor& supervisor, container_reader& reader,
                                std::uint32_t stream) {
     const container_stream_info& info = reader.stream(stream);
-    replay_result result;
-    result.reports.reserve(static_cast<std::size_t>(info.frame_count));
-    for (std::uint64_t i = 0; i < info.frame_count; ++i) {
-        // The sequential walk serves each chunk from the one-chunk cache:
-        // the whole corpus is never resident at once.
-        const frame_record& frame = reader.frame(stream, i);
-        rng random{frame_seed(info.base_seed, static_cast<std::size_t>(i))};
-        accumulate(result, supervisor.process(frame.cloud, random), frame.ground_truth);
-    }
-    return result;
+    // The sequential walk serves each chunk from the one-chunk cache: the
+    // whole corpus is never resident at once.
+    return replay_frames(
+        supervisor, info.base_seed, static_cast<std::size_t>(info.frame_count),
+        [&](std::size_t i) -> const frame_record& { return reader.frame(stream, i); });
 }
 
 }  // namespace hawc::replay
