@@ -113,16 +113,27 @@ void bm_height_variation(benchmark::State& state) {
 BENCHMARK(bm_height_variation)->Args({8000, 1})->Args({8000, 4});
 
 void bm_projection_hap(benchmark::State& state) {
+    // The production call, as cnn_feature_extractor::extract makes it: a
+    // 60-point person padded with pool points to the 15 x 15 grid, sigma
+    // measured on the cluster and zero on the padding.
     rng r{3};
     point_cloud cluster;
-    for (int i = 0; i < 324; ++i) {
-        cluster.push_back({20.0 + r.normal(0.0, 0.2), r.normal(0.0, 0.2),
-                           -3.0 + r.uniform(0.2, 1.7)});
+    for (int i = 0; i < 60; ++i) {
+        cluster.push_back({20.0 + r.normal(0.0, 0.15), r.normal(0.0, 0.12),
+                           -3.0 + r.uniform(0.1, 1.7)});
     }
+    object_pool pool;
+    pool.add_cloud(benchmark_cloud(500));
+    upsample_config up;
+    up.target_points = 225;
+    const point_cloud padded = upsample_cluster(cluster, up, pool, r);
+    std::vector<double> sigma = height_variation(cluster, 8);
+    sigma.resize(padded.size(), 0.0);
     projection_config cfg;
-    cfg.target_points = 324;
+    cfg.target_points = 225;
+    const vec3 anchor = cluster.centroid();
     for (auto _ : state) {
-        const tensor t = project_cluster(cluster, cluster.centroid(), cfg);
+        const tensor t = project_cluster(padded, anchor, cfg, sigma);
         benchmark::DoNotOptimize(t.size());
     }
 }

@@ -1,8 +1,9 @@
-// Perf snapshot for the parallel frame engine: times the hot kernels,
-// the end-to-end single-frame count at several pool sizes, the fleet
-// occupancy read path, the observability event pipeline, and the
-// corpus-container codec/pack/stream-decode path, and emits one JSON
-// document (BENCH_PR9.json via scripts/bench_snapshot.sh). The
+// Perf snapshot for the parallel frame engine: times the hot kernels
+// (including the 225-point HAP projection), the end-to-end single-frame
+// count at several pool sizes, the fleet occupancy read path, the
+// observability event pipeline, and the corpus-container
+// codec/pack/stream-decode path, and emits one JSON document
+// (BENCH_PR15.json via scripts/bench_snapshot.sh). The
 // "baseline" block is the pre-engine measurement captured with the same
 // methodology on the same container class, so current/baseline ratios
 // are like-for-like. scripts/perf_gate.sh checks the threads_1 block
@@ -25,6 +26,7 @@
 #include "common/timer.hpp"
 #include "counting/crowd_counter.hpp"
 #include "features/height_features.hpp"
+#include "features/pipeline.hpp"
 #include "fleet/occupancy.hpp"
 #include "nn/activations.hpp"
 #include "obs/event_log.hpp"
@@ -52,14 +54,18 @@ struct metrics {
     double conv2d_us = 0.0;
     double qconv_us = 0.0;
     double qdense_us = 0.0;
+    double hap_projection_us = 0.0;
     double e2e_count_8k_ms = 0.0;
 };
 
 // qdense was added to the harness in PR 4; its baseline is the serial
-// run_dense measured just before that PR parallelized it (the other
-// numbers are the seed revision's).
+// run_dense measured just before that PR parallelized it. hap_projection
+// came later; its baseline is the index sort whose comparator called
+// std::hypot twice per comparison, measured just before the projection
+// switched to sorting precomputed keys (the other numbers are the seed
+// revision's).
 constexpr metrics baseline{3.4294, 1.0028, 11.221, 22.669, 16.181, 80.693, 145.371,
-                           138.080, 66.232};
+                           138.080, 49.350, 66.232};
 
 /// Synthetic walkway crowd: upright person blobs inside the default ROI
 /// plus clutter, ~8000 points at the default arguments.
@@ -184,6 +190,32 @@ metrics measure() {
     }
 
     {
+        // HAP projection as cnn_feature_extractor::extract calls it: a
+        // 60-point person padded with pool points to the 15 x 15 grid,
+        // sigma measured on the cluster and zero on the padding.
+        rng r{8};
+        point_cloud cluster;
+        for (int i = 0; i < 60; ++i) {
+            cluster.push_back({20.0 + r.normal(0.0, 0.15), r.normal(0.0, 0.12),
+                               -2.9 + r.uniform(0.0, 1.6)});
+        }
+        object_pool pool;
+        pool.add_cloud(crowd_cloud(4, 64, 9));
+        upsample_config up;
+        up.target_points = 225;
+        const point_cloud padded = upsample_cluster(cluster, up, pool, r);
+        std::vector<double> sigma = height_variation(cluster, 8);
+        sigma.resize(padded.size(), 0.0);
+        projection_config cfg;
+        cfg.target_points = 225;
+        const vec3 anchor = cluster.centroid();
+        m.hap_projection_us = 1000.0 * time_ms(500, [&] {
+            volatile float sink = project_cluster(padded, anchor, cfg, sigma)[0];
+            (void)sink;
+        });
+    }
+
+    {
         rng r{1};
         object_pool pool;
         pool.add_cloud(crowd_cloud(4, 64, 9));
@@ -207,6 +239,7 @@ void print_metrics(const char* indent, const metrics& m) {
     std::printf("%s\"conv2d_18x18_7to16_us\": %.3f,\n", indent, m.conv2d_us);
     std::printf("%s\"qconv_18x18_7to16_us\": %.3f,\n", indent, m.qconv_us);
     std::printf("%s\"qdense_b8_512to98to2_us\": %.3f,\n", indent, m.qdense_us);
+    std::printf("%s\"hap_projection_225_us\": %.3f,\n", indent, m.hap_projection_us);
     std::printf("%s\"e2e_count_8k_ms\": %.3f\n", indent, m.e2e_count_8k_ms);
 }
 
@@ -554,6 +587,8 @@ int main(int argc, char** argv) {
     std::printf("    \"conv2d\": %.2f,\n", baseline.conv2d_us / single.conv2d_us);
     std::printf("    \"qconv\": %.2f,\n", baseline.qconv_us / single.qconv_us);
     std::printf("    \"qdense\": %.2f,\n", baseline.qdense_us / single.qdense_us);
+    std::printf("    \"hap_projection_225\": %.2f,\n",
+                baseline.hap_projection_us / single.hap_projection_us);
     std::printf("    \"e2e_count_8k\": %.2f\n", baseline.e2e_count_8k_ms / single.e2e_count_8k_ms);
     std::printf("  }\n");
     std::printf("}\n");

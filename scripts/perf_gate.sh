@@ -14,7 +14,7 @@
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-snapshot="${1:-$repo_root/BENCH_PR9.json}"
+snapshot="${1:-$repo_root/BENCH_PR15.json}"
 floor="${2:-$repo_root/bench/perf_floor.json}"
 tolerance="${HAWC_PERF_TOLERANCE:-1.35}"
 

@@ -10,16 +10,15 @@ tensor cnn_feature_extractor::extract(const point_cloud& cluster, rng& random) c
     const vec3 anchor = cluster.empty() ? vec3{} : cluster.centroid();
     const point_cloud padded = upsample_cluster(cluster, config_.upsample, pool_, random);
 
-    // Height variation on genuine cluster structure only: up-sampling
-    // appends padding after the original points (or down-samples, in
-    // which case every point is genuine), so the first n_real entries of
-    // `padded` are cluster points and the rest get sigma = 0.
-    const std::size_t n_real = std::min(cluster.size(), padded.size());
-    point_cloud real_points;
-    real_points.reserve(n_real);
-    for (std::size_t i = 0; i < n_real; ++i) real_points.push_back(padded[i]);
+    // Height variation on genuine cluster structure only. Padding is
+    // appended after the original points, so when the cluster was padded
+    // padded[0..n) *is* the cluster and its sigma is measured on it
+    // directly; the padding gets sigma = 0. A down-sampled cluster is all
+    // genuine points, each measured against the full cluster.
     std::vector<double> sigma =
-        height_variation(real_points, cluster, config_.projection.knn_k);
+        cluster.size() < padded.size()
+            ? height_variation(cluster, config_.projection.knn_k)
+            : height_variation(padded, cluster, config_.projection.knn_k);
     sigma.resize(padded.size(), 0.0);
 
     return project_cluster(padded, anchor, config_.projection, sigma);

@@ -41,27 +41,40 @@ tensor project_views(const point_cloud& cloud, const vec3& anchor,
     HAWC_REQUIRE(d * d == config.target_points, "target_points must be a perfect square");
     HAWC_REQUIRE(cloud.size() == config.target_points, "cluster must be up-sampled first");
 
-    // Sort (point, sigma) jointly into the canonical anchor order.
-    std::vector<std::size_t> order(cloud.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        const double ra = std::hypot(cloud[a].x - anchor.x, cloud[a].y - anchor.y);
-        const double rb = std::hypot(cloud[b].x - anchor.x, cloud[b].y - anchor.y);
-        if (ra != rb) return ra < rb;
-        return cloud[a].z < cloud[b].z;
+    // Canonical anchor order: the total order (radius, z, index), so the
+    // image never depends on how a library's sort arranges ties. Each
+    // key is computed once; a comparator calling std::hypot would pay
+    // for it twice per comparison.
+    struct sort_key {
+        double radius;
+        double z;
+        std::size_t index;
+    };
+    std::vector<sort_key> keys(cloud.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        keys[i] = {std::hypot(cloud[i].x - anchor.x, cloud[i].y - anchor.y), cloud[i].z, i};
+    }
+    std::sort(keys.begin(), keys.end(), [](const sort_key& a, const sort_key& b) {
+        if (a.radius != b.radius) return a.radius < b.radius;
+        if (a.z != b.z) return a.z < b.z;
+        return a.index < b.index;
     });
-    std::vector<vec3> points;
-    points.reserve(cloud.size());
-    for (auto i : order) points.push_back(cloud[i]);
 
-    std::vector<double> sigma;
+    std::vector<double> fallback_sigma;
     if (sigma_in.empty()) {
-        // Fall back: height variation over the whole up-sampled cloud.
-        sigma = height_variation(point_cloud{points}, config.knn_k);
+        // Fall back: height variation over the whole up-sampled cloud, in
+        // sorted order, scattered back to cloud order.
+        point_cloud sorted;
+        sorted.reserve(cloud.size());
+        for (const sort_key& key : keys) sorted.push_back(cloud[key.index]);
+        const std::vector<double> sorted_sigma = height_variation(sorted, config.knn_k);
+        fallback_sigma.resize(cloud.size());
+        for (std::size_t j = 0; j < keys.size(); ++j) {
+            fallback_sigma[keys[j].index] = sorted_sigma[j];
+        }
+        sigma_in = fallback_sigma;
     } else {
         HAWC_REQUIRE(sigma_in.size() == cloud.size(), "sigma must align with the cloud");
-        sigma.reserve(cloud.size());
-        for (auto i : order) sigma.push_back(sigma_in[i]);
     }
 
     const std::size_t channels = with_height_channel ? 7 : 6;
@@ -74,14 +87,16 @@ tensor project_views(const point_cloud& cloud, const vec3& anchor,
     constexpr float z_scale = 1.0f / 2.2f;      // max plausible stature
     constexpr float sigma_scale = 1.0f / 0.8f;  // typical height-variation cap
 
-    for (std::size_t j = 0; j < points.size(); ++j) {
-        const float x = static_cast<float>(std::clamp(points[j].x - anchor.x, -config.xy_clamp,
-                                                      config.xy_clamp)) *
-                        xy_scale;
-        const float y = static_cast<float>(std::clamp(points[j].y - anchor.y, -config.xy_clamp,
-                                                      config.xy_clamp)) *
-                        xy_scale;
-        const float z = static_cast<float>(points[j].z - config.ground_z) * z_scale;
+    for (std::size_t j = 0; j < keys.size(); ++j) {
+        const std::size_t i = keys[j].index;
+        const vec3& p = cloud[i];
+        const float x =
+            static_cast<float>(std::clamp(p.x - anchor.x, -config.xy_clamp, config.xy_clamp)) *
+            xy_scale;
+        const float y =
+            static_cast<float>(std::clamp(p.y - anchor.y, -config.xy_clamp, config.xy_clamp)) *
+            xy_scale;
+        const float z = static_cast<float>(p.z - config.ground_z) * z_scale;
         const std::size_t row = j / d;
         const std::size_t col = j % d;
         std::size_t c = 0;
@@ -89,7 +104,7 @@ tensor project_views(const point_cloud& cloud, const vec3& anchor,
         out.at(0, row, col, c++) = x;
         out.at(0, row, col, c++) = y;
         if (with_height_channel) {
-            out.at(0, row, col, c++) = static_cast<float>(sigma[j]) * sigma_scale;
+            out.at(0, row, col, c++) = static_cast<float>(sigma_in[i]) * sigma_scale;
         }
         // Front view (yz plane).
         out.at(0, row, col, c++) = y;

@@ -49,8 +49,10 @@ struct projection_config {
 /// and must stay absolute).
 ///
 /// For hap/three_view the point list is first sorted by distance from
-/// the anchor (cluster points first, padding noise last, ties broken by
-/// height) so the reshaped image has a stable spatial layout.
+/// the anchor (cluster points first, padding noise last) so the reshaped
+/// image has a stable spatial layout. The order is total — xy radius,
+/// then height, then position in `upsampled` — so the image does not
+/// depend on how the standard library's sort arranges ties.
 tensor project_cluster(const point_cloud& upsampled, const vec3& anchor,
                        const projection_config& config,
                        std::span<const double> sigma = {});

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -429,6 +432,129 @@ TEST(pipeline, three_view_shape) {
     EXPECT_EQ(extractor.sample_shape(), (std::vector<std::size_t>{10, 10, 6}));
     const tensor out = extractor.extract(synthetic_person_cluster(r, {20.0, 0.0, -3.0}, 30), r);
     EXPECT_EQ(out.dim(3), 6u);
+}
+
+// ---- HAP image vs an in-test reference ------------------------------------
+
+bool same_bytes(const tensor& a, const tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// The view projection spelled out the slow, obvious way: a stable sort
+/// on (hypot radius, z), so ties keep cloud order, then one pixel per
+/// sorted point with the documented channel layout and normalization.
+tensor reference_views(const point_cloud& cloud, const vec3& anchor,
+                       const projection_config& cfg, std::span<const double> sigma_in) {
+    const bool hap = cfg.method == projection_method::hap;
+    std::vector<std::size_t> order(cloud.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto radius = [&](std::size_t i) {
+        return std::hypot(cloud[i].x - anchor.x, cloud[i].y - anchor.y);
+    };
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        if (radius(a) != radius(b)) return radius(a) < radius(b);
+        return cloud[a].z < cloud[b].z;
+    });
+    point_cloud sorted;
+    for (std::size_t i : order) sorted.push_back(cloud[i]);
+    std::vector<double> sigma;
+    if (sigma_in.empty()) {
+        sigma = height_variation(sorted, cfg.knn_k);
+    } else {
+        for (std::size_t i : order) sigma.push_back(sigma_in[i]);
+    }
+
+    const auto d = static_cast<std::size_t>(std::lround(std::sqrt(cloud.size())));
+    tensor out{{1, d, d, hap ? 7u : 6u}};
+    const auto xy = [&](double v) {
+        return static_cast<float>(std::clamp(v, -cfg.xy_clamp, cfg.xy_clamp)) *
+               static_cast<float>(1.0 / cfg.xy_clamp);
+    };
+    for (std::size_t j = 0; j < sorted.size(); ++j) {
+        const float x = xy(sorted[j].x - anchor.x);
+        const float y = xy(sorted[j].y - anchor.y);
+        const float z = static_cast<float>(sorted[j].z - cfg.ground_z) * (1.0f / 2.2f);
+        std::vector<float> pixel{x, y};
+        if (hap) pixel.push_back(static_cast<float>(sigma[j]) * (1.0f / 0.8f));
+        pixel.insert(pixel.end(), {y, z, x, z});
+        for (std::size_t c = 0; c < pixel.size(); ++c) out.at(0, j / d, j % d, c) = pixel[c];
+    }
+    return out;
+}
+
+/// 144 points full of (radius, z) ties: dyadic offsets mirrored into all
+/// four quadrants around the anchor at equal height (exactly equal hypot
+/// radii, different x/y), plus one pool point repeated as padding.
+point_cloud tied_cloud(const vec3& anchor, rng& r) {
+    point_cloud cloud;
+    for (int i = 0; i < 24; ++i) {
+        const double dx = 0.0625 * static_cast<double>(r.uniform_index(12));
+        const double dy = 0.0625 * static_cast<double>(r.uniform_index(12));
+        const double z = -3.0 + 0.125 * static_cast<double>(r.uniform_index(14));
+        for (const double sx : {1.0, -1.0}) {
+            for (const double sy : {1.0, -1.0}) {
+                cloud.push_back({anchor.x + sx * dx, anchor.y + sy * dy, z});
+            }
+        }
+    }
+    while (cloud.size() < 144) cloud.push_back({27.5, -1.25, -2.5});
+    return cloud;
+}
+
+TEST(projection, views_match_stable_sort_reference_on_ties) {
+    const vec3 anchor{20.0, 0.5, -3.0};
+    for (const projection_method method :
+         {projection_method::hap, projection_method::three_view}) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            rng r{seed};
+            const point_cloud cloud = tied_cloud(anchor, r);
+            std::vector<double> sigma(cloud.size());
+            for (double& v : sigma) v = r.uniform(0.0, 0.8);
+            projection_config cfg;
+            cfg.method = method;
+            cfg.target_points = cloud.size();
+            EXPECT_TRUE(same_bytes(project_cluster(cloud, anchor, cfg, sigma),
+                                   reference_views(cloud, anchor, cfg, sigma)))
+                << to_string(method) << " sigma passed, seed " << seed;
+            EXPECT_TRUE(same_bytes(project_cluster(cloud, anchor, cfg),
+                                   reference_views(cloud, anchor, cfg, {})))
+                << to_string(method) << " sigma fallback, seed " << seed;
+        }
+    }
+}
+
+/// The featurizer's earlier sigma path: a copy of the genuine points of
+/// `padded`, each measured against the cluster.
+tensor copied_points_extract(const point_cloud& cluster, const cnn_feature_config& cfg,
+                        const object_pool& pool, rng& random) {
+    const point_cloud padded = upsample_cluster(cluster, cfg.upsample, pool, random);
+    point_cloud real_points;
+    for (std::size_t i = 0; i < std::min(cluster.size(), padded.size()); ++i) {
+        real_points.push_back(padded[i]);
+    }
+    std::vector<double> sigma = height_variation(real_points, cluster, cfg.projection.knn_k);
+    sigma.resize(padded.size(), 0.0);
+    return project_cluster(padded, cluster.centroid(), cfg.projection, sigma);
+}
+
+TEST(pipeline, extract_matches_copied_points_sigma_path) {
+    rng r{47};
+    cnn_feature_config cfg;
+    cfg.upsample.target_points = 169;
+    cfg.projection.target_points = 169;
+    const object_pool pool = make_pool(r);
+    const cnn_feature_extractor extractor{cfg, pool};
+    // Padded (60 < 169), exactly full (down-sample branch, a permutation)
+    // and down-sampled (200 > 169) clusters.
+    for (const std::size_t points : {std::size_t{60}, std::size_t{169}, std::size_t{200}}) {
+        const point_cloud cluster = synthetic_person_cluster(r, {21.0, 0.5, -3.0}, points);
+        rng a{points};
+        rng b{points};
+        EXPECT_TRUE(same_bytes(extractor.extract(cluster, a),
+                               copied_points_extract(cluster, cfg, pool, b)))
+            << points << " points";
+    }
 }
 
 }  // namespace

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <string_view>
 
 #include "common/thread_pool.hpp"
 #include "counting/crowd_counter.hpp"
+#include "features/pipeline.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "quant/calibrate.hpp"
@@ -530,6 +532,44 @@ TEST(parity, ladder_divergence_respects_budget) {
         corpus, test_capture(), classifier, /*fixed_eps=*/0.35, loose);
     EXPECT_TRUE(report.passed()) << report.summary();
     EXPECT_EQ(report.comparisons, corpus.size());
+}
+
+// The featurizer's own regression pin. Golden parity compares fp32 with
+// int8 and 1 thread with N, and both sides of every pair share the
+// featurizer, so a change to up-sampling, sigma or the HAP projection
+// would pass it silently. This hashes the tensor bytes of every cluster
+// of both golden corpora, featurized with the golden object pool, the
+// golden 225-point grid and the per-frame rng forks the counting stage
+// uses. A deliberate featurizer change must re-pin the digest on purpose.
+TEST(replay, golden_featurization_digest_is_pinned) {
+    const std::filesystem::path dir{HAWC_GOLDEN_DIR};
+    cnn_feature_config features;
+    features.upsample.target_points = 225;
+    features.projection.target_points = 225;
+    const cnn_feature_extractor extractor{features,
+                                          load_object_pool_file(dir / "object.pool")};
+    capture_config geometry;  // the golden corpora's sensor
+    geometry.sensor.channels = 24;
+    geometry.sensor.azimuth_steps = 720;
+    geometry.min_cluster_points = 10;
+
+    std::vector<std::uint64_t> tensor_hashes;
+    for (const char* name : {"clean.frames", "degraded.frames"}) {
+        const frame_corpus corpus = load_corpus_file(dir / name);
+        for (std::size_t i = 0; i < corpus.size(); ++i) {
+            const capture cap = process_cloud(corpus.frames[i].cloud, geometry);
+            rng frame_rng{frame_seed(corpus.base_seed, i)};
+            for (const point_cloud& cluster : cap.clusters) {
+                rng cluster_rng = frame_rng.fork();
+                const tensor t = extractor.extract(cluster, cluster_rng);
+                tensor_hashes.push_back(fnv1a64(t.data(), t.size() * sizeof(float)));
+            }
+        }
+    }
+    const std::uint64_t digest =
+        fnv1a64(tensor_hashes.data(), tensor_hashes.size() * sizeof(std::uint64_t));
+    EXPECT_EQ(tensor_hashes.size(), 43u);
+    EXPECT_EQ(digest, 0x2e420e46f35846e0ULL) << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace
