@@ -10,17 +10,11 @@
 //   parity_checker record <golden-dir>
 //   parity_checker check  <golden-dir> [--metrics]
 //
-// Plus the corpus-container drill (replay/container.hpp): pack an
-// envelope corpus into a chunked compressed "HWCC" container, unpack one
-// back to its envelope form, and verify a container by streaming every
-// chunk (checksums + decode) — optionally frame-for-frame bit-exact
-// against the golden envelope it was packed from. Multi-pole corpus sets
-// exist on disk only as multi-stream containers, so `verify` accepts
-// them and `unpack` and the golden comparison take single corpora only:
+// Plus `verify`, which checks any corpus container (replay/container.hpp)
+// — a golden corpus or a multi-pole corpus set — by streaming every
+// chunk of every stream once (checksums + decode):
 //
-//   parity_checker pack   <in.frames> <out.hwcc> [--chunk N]
-//   parity_checker unpack <in.hwcc> <out.frames>
-//   parity_checker verify <in.hwcc> [golden.frames]
+//   parity_checker verify <container>
 //
 // Everything that defines the golden setup (sensor geometry, model
 // architecture, seeds) is a constant below: `check` rebuilds the exact
@@ -28,7 +22,6 @@
 // configuration of their own beyond the serialized tensors.
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
@@ -37,7 +30,6 @@
 
 #include "classifiers/hawc_model.hpp"
 #include "classifiers/quantized_classifier.hpp"
-#include "replay/binary_io.hpp"
 #include "replay/container.hpp"
 #include "replay/model_io.hpp"
 #include "replay/parity_checker.hpp"
@@ -230,52 +222,9 @@ int run_check(const std::filesystem::path& dir, bool dump_metrics) {
     return ok ? 0 : 1;
 }
 
-// ---- corpus container pack / unpack / verify -----------------------------
+// ---- corpus container verify ---------------------------------------------
 
-// Bit-exact frame comparison through the shared wire encoding, so the
-// non-finite coordinates fault-injected corpora carry compare equal to
-// themselves (operator== would call every NaN frame divergent).
-bool same_bits(const replay::frame_record& a, const replay::frame_record& b) {
-    replay::byte_writer wa;
-    replay::byte_writer wb;
-    replay::write_frame_record(wa, a);
-    replay::write_frame_record(wb, b);
-    return wa.bytes() == wb.bytes();
-}
-
-int run_pack(const std::filesystem::path& in, const std::filesystem::path& out,
-             std::size_t chunk_frames) {
-    replay::container_options options;
-    if (chunk_frames > 0) options.frames_per_chunk = chunk_frames;
-
-    const replay::frame_corpus corpus = replay::load_corpus_file(in);
-    replay::pack_corpus_file(out, corpus, options);
-
-    const auto in_size = std::filesystem::file_size(in);
-    const auto out_size = std::filesystem::file_size(out);
-    std::cout << "packed " << in.string() << " (" << in_size << " B, " << corpus.size()
-              << " frames) -> " << out.string() << " (" << out_size << " B, ratio "
-              << (out_size > 0
-                      ? static_cast<double>(in_size) / static_cast<double>(out_size)
-                      : 0.0)
-              << "x)\n";
-    return 0;
-}
-
-int run_unpack(const std::filesystem::path& in, const std::filesystem::path& out) {
-    replay::container_reader reader{in};
-    if (reader.kind() != replay::container_kind::corpus) {
-        std::cerr << "unpack: " << in.string()
-                  << " is a corpus-set container; sets have no envelope form\n";
-        return 2;
-    }
-    replay::save_corpus_file(out, replay::unpack_corpus(reader));
-    std::cout << "unpacked " << in.string() << " -> " << out.string() << "\n";
-    return 0;
-}
-
-int run_verify(const std::filesystem::path& container,
-               const std::filesystem::path& golden) {
+int run_verify(const std::filesystem::path& container) {
     replay::container_reader reader{container};
 
     // Stream every frame of every stream: each chunk is read, checksummed
@@ -302,27 +251,6 @@ int run_verify(const std::filesystem::path& container,
               << (stored > 0 ? static_cast<double>(uncompressed) / static_cast<double>(stored)
                              : 0.0)
               << "x), peak cache " << reader.cache_capacity() << " chunk(s)\n";
-
-    if (golden.empty()) return 0;
-
-    // Golden comparison: frame-for-frame bit-exact against the envelope
-    // artifact the container was packed from.
-    const replay::frame_corpus want = replay::load_corpus_file(golden);
-    const replay::frame_corpus got = replay::unpack_corpus(reader);
-    std::size_t divergent = 0;
-    if (got.name != want.name || got.base_seed != want.base_seed ||
-        got.size() != want.size()) {
-        ++divergent;
-    }
-    for (std::size_t i = 0; i < want.size() && i < got.size(); ++i) {
-        if (!same_bits(got.frames[i], want.frames[i])) ++divergent;
-    }
-    if (divergent != 0) {
-        std::cerr << "verify: container DIVERGES from " << golden.string() << " ("
-                  << divergent << " mismatch(es))\n";
-        return 1;
-    }
-    std::cout << "container matches " << golden.string() << " bit-exactly\n";
     return 0;
 }
 
@@ -330,14 +258,11 @@ int run_verify(const std::filesystem::path& container,
 
 int main(int argc, char** argv) {
     bool dump_metrics = false;
-    std::size_t chunk_frames = 0;
     std::string mode;
     std::vector<std::filesystem::path> paths;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--metrics") == 0) {
             dump_metrics = true;
-        } else if (std::strcmp(argv[i], "--chunk") == 0 && i + 1 < argc) {
-            chunk_frames = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
         } else if (mode.empty()) {
             mode = argv[i];
         } else {
@@ -352,20 +277,12 @@ int main(int argc, char** argv) {
         if (mode == "check") {
             return run_check(paths.empty() ? "data/golden" : paths[0], dump_metrics);
         }
-        if (mode == "pack" && paths.size() == 2) {
-            return run_pack(paths[0], paths[1], chunk_frames);
-        }
-        if (mode == "unpack" && paths.size() == 2) return run_unpack(paths[0], paths[1]);
-        if (mode == "verify" && !paths.empty()) {
-            return run_verify(paths[0], paths.size() > 1 ? paths[1] : "");
-        }
+        if (mode == "verify" && paths.size() == 1) return run_verify(paths[0]);
     } catch (const std::exception& e) {
         std::cerr << "parity_checker: " << e.what() << "\n";
         return 2;
     }
     std::cerr << "usage: parity_checker record|check [golden-dir] [--metrics]\n"
-                 "       parity_checker pack <in.frames> <out.hwcc> [--chunk N]\n"
-                 "       parity_checker unpack <in.hwcc> <out.frames>\n"
-                 "       parity_checker verify <in.hwcc> [golden.frames]\n";
+                 "       parity_checker verify <container>\n";
     return 2;
 }

@@ -24,10 +24,9 @@ bool flight_recorder::record(std::uint64_t frame_index, std::uint32_t ground_tru
                              const frame_report& report) {
     recorded_frame frame;
     frame.frame_index = frame_index;
-    frame.ground_truth = ground_truth;
     // Stored as delivered; rounded to the recorded precision only when a
     // dump snapshots the ring (clean frames must not pay the conversion).
-    frame.cloud = std::move(cloud);
+    frame.record = {std::move(cloud), ground_truth};
     frame.carry = before;
     frame.count = report.count;
     frame.status = report.status;
@@ -74,7 +73,7 @@ bool flight_recorder::trigger_dump(dump_trigger trigger, std::uint64_t tick) {
     bundle.tick = tick;
     bundle.frames.assign(ring_.begin(), ring_.end());
     for (recorded_frame& frame : bundle.frames) {
-        frame.cloud = replay::round_to_recorded(frame.cloud);
+        frame.record.cloud = replay::round_to_recorded(frame.record.cloud);
     }
 
     if (events_ != nullptr) {

@@ -47,31 +47,27 @@ void save_postmortem(std::ostream& out, const postmortem_bundle& bundle) {
     payload.u32(static_cast<std::uint32_t>(bundle.frames.size()));
     for (const recorded_frame& frame : bundle.frames) {
         payload.u64(frame.frame_index);
-        payload.u32(frame.ground_truth);
         write_carry(payload, frame.carry);
         payload.u64(frame.count);
         payload.u8(static_cast<std::uint8_t>(frame.status));
-        payload.u64(frame.cloud.size());
-        for (const vec3& p : frame.cloud) {
-            payload.f32(static_cast<float>(p.x));
-            payload.f32(static_cast<float>(p.y));
-            payload.f32(static_cast<float>(p.z));
-        }
+        replay::write_frame_record(payload, frame.record);
     }
 
     payload.str(bundle.events_jsonl);
     payload.str(bundle.trace_json);
     // Bundles carry dozens of float32 clouds plus JSONL/trace text — both
-    // compress well, and quarantine storms can dump many of them. The
-    // flag-gated envelope keeps old bundles loadable while new ones
-    // shrink; a pre-flag reader rejects them cleanly instead of
-    // misparsing (the flags bug this PR fixes).
+    // compress well, and quarantine storms can dump many of them.
     replay::write_envelope_compressed(out, postmortem_magic, postmortem_version, payload);
 }
 
 postmortem_bundle load_postmortem(std::istream& in) {
     const replay::envelope env =
         replay::read_envelope(in, postmortem_magic, postmortem_version, "postmortem bundle");
+    // Version 1 laid frames out differently; no reader for it is kept.
+    if (env.version != postmortem_version) {
+        throw io_error{"postmortem bundle: unsupported format version " +
+                       std::to_string(env.version)};
+    }
     replay::byte_reader r{env.payload};
 
     postmortem_bundle bundle;
@@ -94,7 +90,6 @@ postmortem_bundle load_postmortem(std::istream& in) {
     for (std::uint32_t i = 0; i < frame_count; ++i) {
         recorded_frame frame;
         frame.frame_index = r.u64();
-        frame.ground_truth = r.u32();
         frame.carry = read_carry(r);
         frame.count = r.u64();
         const std::uint8_t status = r.u8();
@@ -102,17 +97,7 @@ postmortem_bundle load_postmortem(std::istream& in) {
             throw io_error{"postmortem bundle: unknown frame status"};
         }
         frame.status = static_cast<frame_status>(status);
-        const std::uint64_t points = r.u64();
-        if (points > r.remaining() / 12) {  // 3 x f32 per point
-            throw io_error{"postmortem bundle: implausible point count"};
-        }
-        frame.cloud.reserve(static_cast<std::size_t>(points));
-        for (std::uint64_t p = 0; p < points; ++p) {
-            const double x = r.f32();
-            const double y = r.f32();
-            const double z = r.f32();
-            frame.cloud.push_back({x, y, z});
-        }
+        frame.record = replay::read_frame_record(r);
         bundle.frames.push_back(std::move(frame));
     }
 
@@ -156,7 +141,7 @@ postmortem_replay_result replay_postmortem(const postmortem_bundle& bundle,
     std::vector<std::uint64_t> indices;
     indices.reserve(bundle.frames.size());
     for (const recorded_frame& frame : bundle.frames) {
-        corpus.frames.push_back({frame.cloud, frame.ground_truth});
+        corpus.frames.push_back(frame.record);
         indices.push_back(frame.frame_index);
     }
 

@@ -19,7 +19,9 @@
 // asserts. On disk a bundle rides the standard checksummed replay
 // envelope ("HWPM") with the compressed-payload flag set (clouds and the
 // pre-rendered JSONL/trace text shrink well), so corruption fails with a
-// clean io_error and uncompressed pre-flag bundles still load.
+// clean io_error. Each frame's cloud and ground truth use the shared
+// frame wire codec (replay::write_frame_record), the one corpus
+// containers are built from.
 
 #include <cstdint>
 #include <filesystem>
@@ -33,7 +35,7 @@
 namespace hawc::obs {
 
 inline constexpr std::uint32_t postmortem_magic = 0x4d505748;  // "HWPM"
-inline constexpr std::uint16_t postmortem_version = 1;
+inline constexpr std::uint16_t postmortem_version = 2;
 
 enum class dump_trigger : std::uint8_t {
     manual = 0,
@@ -46,8 +48,7 @@ const char* to_string(dump_trigger trigger);
 /// One frame as the flight recorder kept it.
 struct recorded_frame {
     std::uint64_t frame_index = 0;  // original stream index (seeds the rng)
-    std::uint32_t ground_truth = 0;
-    point_cloud cloud;              // round_to_recorded precision
+    replay::frame_record record;    // cloud in round_to_recorded precision
     supervisor_carry carry;         // supervisor state BEFORE this frame
     std::uint64_t count = 0;        // observed outcome
     frame_status status = frame_status::ok;

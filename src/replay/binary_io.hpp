@@ -1,7 +1,8 @@
 #pragma once
 
-// The shared binary envelope for every replay artifact (frame corpora,
-// fp32 weights, int8 models, object pools):
+// The shared binary envelope for every one-shot replay artifact (fp32
+// weights, int8 models, object pools, postmortem bundles; recorded
+// corpora are containers, container.hpp):
 //
 //   u32 magic | u16 version | u16 flags | u64 payload_size | u64 fnv1a64(payload) | payload
 //

@@ -77,13 +77,11 @@ void container_writer::flush_chunk(std::uint32_t stream) {
 
     const char* stored = raw.data();
     std::size_t stored_size = raw.size();
-    if (options_.compress) {
-        lz_compress_into(raw.data(), raw.size(), scratch_);
-        if (scratch_.size() < raw.size()) {
-            entry.codec = chunk_codec::lz;
-            stored = scratch_.data();
-            stored_size = scratch_.size();
-        }
+    lz_compress_into(raw.data(), raw.size(), scratch_);
+    if (scratch_.size() < raw.size()) {
+        entry.codec = chunk_codec::lz;
+        stored = scratch_.data();
+        stored_size = scratch_.size();
     }
     entry.stored_size = stored_size;
     entry.checksum = fnv1a64(stored, stored_size);
@@ -373,14 +371,6 @@ void pack_corpus(std::ostream& out, const frame_corpus& corpus, container_option
     writer.finalize();
 }
 
-void pack_corpus_file(const std::filesystem::path& path, const frame_corpus& corpus,
-                      container_options options) {
-    std::ofstream out{path, std::ios::binary};
-    if (!out) throw io_error{"cannot open " + path.string() + " for writing"};
-    pack_corpus(out, corpus, options);
-    if (!out) throw io_error{"failed writing " + path.string()};
-}
-
 void pack_corpus_set(std::ostream& out, const pole_corpus_set& set,
                      container_options options) {
     container_writer writer{out, container_kind::corpus_set, set.name, options};
@@ -420,14 +410,6 @@ frame_corpus unpack_corpus(container_reader& reader, std::uint32_t stream) {
     return corpus;
 }
 
-frame_corpus unpack_corpus_file(const std::filesystem::path& path) {
-    container_reader reader{path};
-    if (reader.kind() != container_kind::corpus) {
-        throw io_error{path.string() + " is not a single-corpus container"};
-    }
-    return unpack_corpus(reader, 0);
-}
-
 pole_corpus_set unpack_corpus_set(container_reader& reader) {
     if (reader.kind() != container_kind::corpus_set) {
         throw io_error{"container is not a pole corpus set"};
@@ -447,6 +429,21 @@ pole_corpus_set unpack_corpus_set(container_reader& reader) {
 pole_corpus_set unpack_corpus_set_file(const std::filesystem::path& path) {
     container_reader reader{path};
     return unpack_corpus_set(reader);
+}
+
+void save_corpus_file(const std::filesystem::path& path, const frame_corpus& corpus) {
+    std::ofstream out{path, std::ios::binary};
+    if (!out) throw io_error{"cannot open " + path.string() + " for writing"};
+    pack_corpus(out, corpus);
+    if (!out) throw io_error{"failed writing " + path.string()};
+}
+
+frame_corpus load_corpus_file(const std::filesystem::path& path) {
+    container_reader reader{path};
+    if (reader.kind() != container_kind::corpus) {
+        throw io_error{path.string() + " is not a single-corpus container"};
+    }
+    return unpack_corpus(reader);
 }
 
 }  // namespace hawc::replay

@@ -1,11 +1,13 @@
 #pragma once
 
-// "HWCC" — the chunked, indexed, compressed corpus container: the
-// fleet-scale storage format the one-artifact-per-file envelope
-// (binary_io.hpp) cannot be. An envelope is slurped whole (capped at
-// 2 GiB); a container streams — readers seek by frame number and
-// decompress one chunk at a time, so a multi-hour multi-pole recording
-// replays with memory bounded by a chunk, not the corpus.
+// "HWCC" — the chunked, indexed, compressed corpus container: the one
+// on-disk format for recorded corpora, from a single golden corpus
+// (container_kind::corpus, save_corpus_file / load_corpus_file) to a
+// multi-pole fleet recording (container_kind::corpus_set). Unlike the
+// slurp-whole model envelope (binary_io.hpp), a container streams —
+// readers seek by frame number and decompress one chunk at a time, so a
+// multi-hour multi-pole recording replays with memory bounded by a
+// chunk, not the corpus.
 //
 // File layout:
 //
@@ -26,9 +28,9 @@
 // io_error when (and only when) that chunk is read.
 //
 // Chunk payloads are runs of the shared frame wire layout
-// (frame_format.hpp::write_frame_record), so a frame unpacked from a
-// container is bit-identical to the same frame loaded from an envelope —
-// the round_to_recorded round-trip contract carries over unchanged.
+// (frame_format.hpp::write_frame_record), so a round_to_recorded corpus
+// round-trips bit-exactly. A chunk the codec cannot shrink is stored
+// raw, so compression never grows a file.
 //
 // Readers validate before trusting: header magic/version/flags, footer
 // magic and offset/size consistency against the real file size, the
@@ -66,7 +68,7 @@ enum class container_kind : std::uint8_t {
 };
 
 enum class chunk_codec : std::uint8_t {
-    raw = 0,  // stored bytes == frame bytes (incompressible chunk)
+    raw = 0,  // stored bytes == frame bytes (lz would not shrink the chunk)
     lz = 1,   // codec.hpp token stream
 };
 
@@ -75,11 +77,6 @@ struct container_options {
     /// cross-frame redundancy in the match window) but raise the
     /// streaming reader's per-chunk memory bound.
     std::size_t frames_per_chunk = 64;
-
-    /// When false every chunk is stored raw (for measuring codec gain).
-    /// Even when true, a chunk whose compressed form is not smaller is
-    /// stored raw — the codec can only ever shrink the file.
-    bool compress = true;
 };
 
 struct container_stream_info {
@@ -207,8 +204,6 @@ private:
 // ---- corpus / corpus-set convenience wrappers ----------------------------
 
 void pack_corpus(std::ostream& out, const frame_corpus& corpus, container_options options = {});
-void pack_corpus_file(const std::filesystem::path& path, const frame_corpus& corpus,
-                      container_options options = {});
 void pack_corpus_set(std::ostream& out, const pole_corpus_set& set,
                      container_options options = {});
 void pack_corpus_set_file(const std::filesystem::path& path, const pole_corpus_set& set,
@@ -217,8 +212,12 @@ void pack_corpus_set_file(const std::filesystem::path& path, const pole_corpus_s
 /// Materialize a whole stream / set back into memory (the non-streaming
 /// convenience path; bit-exact inverse of pack_*).
 frame_corpus unpack_corpus(container_reader& reader, std::uint32_t stream = 0);
-frame_corpus unpack_corpus_file(const std::filesystem::path& path);
 pole_corpus_set unpack_corpus_set(container_reader& reader);
 pole_corpus_set unpack_corpus_set_file(const std::filesystem::path& path);
+
+/// The corpus file pair: a container_kind::corpus container holding one
+/// stream. load_corpus_file rejects any other kind with io_error.
+void save_corpus_file(const std::filesystem::path& path, const frame_corpus& corpus);
+frame_corpus load_corpus_file(const std::filesystem::path& path);
 
 }  // namespace hawc::replay

@@ -1,8 +1,5 @@
 #include "replay/frame_format.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/error.hpp"
 #include "replay/binary_io.hpp"
 
@@ -50,48 +47,6 @@ frame_record read_frame_record(byte_reader& in) {
         frame.cloud.push_back({x, y, z});
     }
     return frame;
-}
-
-void save_corpus(std::ostream& out, const frame_corpus& corpus) {
-    byte_writer payload;
-    payload.str(corpus.name);
-    payload.u64(corpus.base_seed);
-    payload.u64(static_cast<std::uint64_t>(corpus.frames.size()));
-    for (const auto& frame : corpus.frames) write_frame_record(payload, frame);
-    write_envelope(out, frame_corpus_magic, frame_corpus_version, payload);
-}
-
-frame_corpus load_corpus(std::istream& in) {
-    const envelope env = read_envelope(in, frame_corpus_magic, frame_corpus_version,
-                                       "frame corpus");
-    byte_reader reader{env.payload};
-    frame_corpus corpus;
-    corpus.name = reader.str();
-    corpus.base_seed = reader.u64();
-    const std::uint64_t frame_count = reader.u64();
-    // Each frame needs at least its 12-byte fixed header; anything larger
-    // cannot fit in the checksummed payload we just validated.
-    if (frame_count > env.payload.size()) {
-        throw io_error{"frame corpus: implausible frame count"};
-    }
-    corpus.frames.reserve(static_cast<std::size_t>(frame_count));
-    for (std::uint64_t f = 0; f < frame_count; ++f) {
-        corpus.frames.push_back(read_frame_record(reader));
-    }
-    reader.expect_exhausted("frame corpus");
-    return corpus;
-}
-
-void save_corpus_file(const std::filesystem::path& path, const frame_corpus& corpus) {
-    std::ofstream out{path, std::ios::binary};
-    if (!out) throw io_error{"cannot open " + path.string() + " for writing"};
-    save_corpus(out, corpus);
-}
-
-frame_corpus load_corpus_file(const std::filesystem::path& path) {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) throw io_error{"cannot open " + path.string()};
-    return load_corpus(in);
 }
 
 }  // namespace hawc::replay

@@ -1,11 +1,13 @@
 #pragma once
 
-// Versioned binary format for recorded point-cloud frame sequences — the
-// "record" half of record/replay. A corpus is a named, seeded sequence of
-// raw captures (plus per-frame ground truth) that can be checked in as a
-// small golden file and replayed deterministically through the pipeline;
-// see DESIGN.md "Replay & parity" for the format layout and the
-// determinism contract.
+// Recorded point-cloud frame sequences — the "record" half of
+// record/replay. A corpus is a named, seeded sequence of raw captures
+// (plus per-frame ground truth) that can be checked in as a small golden
+// file and replayed deterministically through the pipeline; see
+// DESIGN.md "Replay & parity" for the determinism contract. On disk a
+// corpus is a single-stream HWCC container (container.hpp:
+// save_corpus_file / load_corpus_file); this header holds the in-memory
+// types and the one frame wire codec every on-disk form is built from.
 //
 // Point coordinates are stored as float32: golden corpora are recorded
 // sensor data, and the recorder rounds its in-memory clouds to float
@@ -13,17 +15,12 @@
 // corpus, its file, and every future load of that file are bit-identical.
 
 #include <cstdint>
-#include <filesystem>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "pointcloud/point_cloud.hpp"
 
 namespace hawc::replay {
-
-inline constexpr std::uint32_t frame_corpus_magic = 0x52465748;  // "HWFR"
-inline constexpr std::uint16_t frame_corpus_version = 1;
 
 /// One recorded capture: the raw cloud as the sensor (or fault injector)
 /// emitted it, plus the simulation ground truth for accuracy tracking.
@@ -57,16 +54,10 @@ class byte_writer;
 class byte_reader;
 
 /// One frame in the shared wire layout (u32 ground truth, u64 point
-/// count, f32 x/y/z per point) — the unit both the corpus envelope
-/// payload and the container's chunk payloads (container.hpp) are built
-/// from, so a frame read from either path is bit-identical.
+/// count, f32 x/y/z per point) — the unit container chunk payloads
+/// (container.hpp) and postmortem bundles (obs/postmortem.hpp) are built
+/// from.
 void write_frame_record(byte_writer& out, const frame_record& frame);
 frame_record read_frame_record(byte_reader& in);
-
-void save_corpus(std::ostream& out, const frame_corpus& corpus);
-frame_corpus load_corpus(std::istream& in);
-
-void save_corpus_file(const std::filesystem::path& path, const frame_corpus& corpus);
-frame_corpus load_corpus_file(const std::filesystem::path& path);
 
 }  // namespace hawc::replay

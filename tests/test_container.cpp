@@ -7,13 +7,14 @@
 // (a sequential walk decodes each chunk exactly once), an exhaustive
 // single-byte corruption + truncation sweep over a whole container file,
 // and replay parity: a packed corpus replays bit-identically to its
-// envelope original, solo and through a fleet.
+// in-memory original, solo and through a fleet.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -45,7 +46,7 @@ void expect_codec_identity(const std::vector<char>& input) {
 }
 
 // Synthetic pole capture in round_to_recorded (float32) precision, so
-// container round trips are exact identities like envelope ones.
+// container round trips are exact identities.
 point_cloud synth_frame(rng& r, std::size_t people) {
     point_cloud cloud;
     for (int i = 0; i < 180; ++i) {
@@ -362,16 +363,11 @@ TEST(container, lru_cache_capacity_bounds_residency) {
     EXPECT_EQ(reader.chunks_decoded(), reader.chunks().size());
 }
 
-TEST(container, incompressible_chunks_are_stored_raw_and_compression_can_be_disabled) {
+TEST(container, incompressible_chunks_are_stored_raw) {
     const frame_corpus corpus = synth_corpus(53, 4);  // float noise: incompressible
-    std::ostringstream packed_out;
-    pack_corpus(packed_out, corpus);
-    std::ostringstream raw_out;
-    pack_corpus(raw_out, corpus, {.compress = false});
-    // The codec can only ever shrink the file: raw fallback means the
-    // compressed container is never larger than the uncompressed one.
-    EXPECT_LE(packed_out.str().size(), raw_out.str().size());
-    std::istringstream in{raw_out.str()};
+    std::ostringstream out;
+    pack_corpus(out, corpus);
+    std::istringstream in{out.str()};
     container_reader reader{in};
     for (const chunk_entry& chunk : reader.chunks()) {
         EXPECT_EQ(chunk.codec, chunk_codec::raw);
@@ -461,8 +457,14 @@ TEST(container, rejects_header_tampering) {
         EXPECT_THROW(container_reader{in}, io_error);
     }
     {  // an envelope is not a container
-        std::istringstream in{std::string{"HWFR then some junk that is long enough....."}};
+        std::istringstream in{std::string{"HWMW then some junk that is long enough....."}};
         EXPECT_THROW(container_reader{in}, io_error);
+    }
+    {  // a corpus-set container is not a single corpus
+        const auto path = std::filesystem::temp_directory_path() / "hawc_set_not_corpus.hwcc";
+        pack_corpus_set_file(path, synth_set(2, 1));
+        EXPECT_THROW(load_corpus_file(path), io_error);
+        std::filesystem::remove(path);
     }
 }
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <thread>
@@ -591,7 +592,7 @@ TEST(obs_recorder, corrupted_bundle_is_rejected) {
     bundle.base_seed = 5;
     obs::recorded_frame frame;
     frame.frame_index = 3;
-    frame.cloud.push_back({20.0, 0.0, -1.5});
+    frame.record.cloud.push_back({20.0, 0.0, -1.5});
     bundle.frames.push_back(frame);
     bundle.events_jsonl = "{\"kind\":\"frame_dropped\"}\n";
 
@@ -604,6 +605,12 @@ TEST(obs_recorder, corrupted_bundle_is_rejected) {
 
     std::stringstream truncated{good.str().substr(0, good.str().size() - 3)};
     EXPECT_THROW(obs::load_postmortem(truncated), io_error);
+
+    std::string v1 = good.str();  // stamped version 1: that layout has no reader
+    const std::uint16_t version = 1;
+    std::memcpy(v1.data() + 4, &version, sizeof(version));
+    std::stringstream old{v1};
+    EXPECT_THROW(obs::load_postmortem(old), io_error);
 }
 
 TEST(obs_recorder, pending_dump_cap_drops_excess) {

@@ -1,5 +1,5 @@
 // Tests for the record/replay + parity subsystem: the checksummed binary
-// envelope, corpus and model serialization round trips (bit-exact),
+// envelope, corpus file and model serialization round trips (bit-exact),
 // corruption detection, deterministic recording/replaying, and the
 // differential parity checker's ability to both pass identical pairs and
 // flag genuinely divergent ones.
@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -19,6 +20,7 @@
 #include "nn/dense.hpp"
 #include "quant/calibrate.hpp"
 #include "replay/binary_io.hpp"
+#include "replay/container.hpp"
 #include "replay/corpus_set.hpp"
 #include "replay/frame_format.hpp"
 #include "replay/model_io.hpp"
@@ -244,21 +246,27 @@ TEST(frame_corpus, round_trips_bit_exactly) {
     ASSERT_EQ(corpus.size(), 4u);
     EXPECT_GT(corpus.total_points(), 0u);
 
-    std::ostringstream out;
-    save_corpus(out, corpus);
-    std::istringstream in{out.str()};
-    const frame_corpus loaded = load_corpus(in);
+    const auto path = std::filesystem::temp_directory_path() / "hawc_round_trip.frames";
+    save_corpus_file(path, corpus);
+    const frame_corpus loaded = load_corpus_file(path);
+    std::filesystem::remove(path);
     EXPECT_EQ(loaded, corpus);  // bit-exact, including every coordinate
 }
 
 TEST(frame_corpus, corrupted_file_fails_cleanly) {
     const frame_corpus corpus = record_corpus(test_record());
-    std::ostringstream out;
-    save_corpus(out, corpus);
-    std::string bytes = out.str();
-    bytes[bytes.size() / 2] ^= 0x01;
-    std::istringstream in{bytes};
-    EXPECT_THROW(load_corpus(in), io_error);
+    const auto path = std::filesystem::temp_directory_path() / "hawc_corrupted.frames";
+    save_corpus_file(path, corpus);
+    {
+        std::fstream file{path, std::ios::binary | std::ios::in | std::ios::out};
+        const auto middle = static_cast<std::streamoff>(std::filesystem::file_size(path) / 2);
+        file.seekg(middle);
+        const char byte = static_cast<char>(file.get() ^ 0x01);
+        file.seekp(middle);
+        file.put(byte);
+    }
+    EXPECT_THROW(load_corpus_file(path), io_error);
+    std::filesystem::remove(path);
 }
 
 // ---- multi-pole corpus sets ---------------------------------------------
@@ -570,6 +578,26 @@ TEST(replay, golden_featurization_digest_is_pinned) {
         fnv1a64(tensor_hashes.data(), tensor_hashes.size() * sizeof(std::uint64_t));
     EXPECT_EQ(tensor_hashes.size(), 43u);
     EXPECT_EQ(digest, 0x2e420e46f35846e0ULL) << std::hex << "digest 0x" << digest;
+}
+
+// The golden corpora are single-stream corpus containers carrying the
+// names and seeds parity_checker records them with.
+TEST(replay, golden_corpora_are_corpus_containers) {
+    const std::filesystem::path dir{HAWC_GOLDEN_DIR};
+    const struct {
+        const char* file;
+        const char* name;
+        std::uint64_t base_seed;
+        std::uint64_t frames;
+    } golden[] = {{"clean.frames", "clean", 2024, 8}, {"degraded.frames", "degraded", 6021, 6}};
+    for (const auto& want : golden) {
+        container_reader reader{dir / want.file};
+        EXPECT_EQ(reader.kind(), container_kind::corpus) << want.file;
+        ASSERT_EQ(reader.stream_count(), 1u) << want.file;
+        EXPECT_EQ(reader.stream(0).name, want.name);
+        EXPECT_EQ(reader.stream(0).base_seed, want.base_seed) << want.file;
+        EXPECT_EQ(reader.frame_count(0), want.frames) << want.file;
+    }
 }
 
 }  // namespace
