@@ -1,5 +1,6 @@
 // Perf snapshot for the parallel frame engine: times the hot kernels
-// (including the 225-point HAP projection), the end-to-end single-frame
+// (including the 225-point HAP projection and the deployed golden int8
+// net's forward), the end-to-end single-frame
 // count at several pool sizes, the fleet occupancy read path, the
 // observability event pipeline, and the corpus-container
 // codec/pack/stream-decode path, and emits one JSON document
@@ -14,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -38,6 +40,7 @@
 #include "quant/calibrate.hpp"
 #include "replay/codec.hpp"
 #include "replay/container.hpp"
+#include "replay/model_io.hpp"
 
 using namespace hawc;
 
@@ -55,6 +58,7 @@ struct metrics {
     double qconv_us = 0.0;
     double qdense_us = 0.0;
     double hap_projection_us = 0.0;
+    double qforward_golden_us = 0.0;
     double e2e_count_8k_ms = 0.0;
 };
 
@@ -62,10 +66,13 @@ struct metrics {
 // run_dense measured just before that PR parallelized it. hap_projection
 // came later; its baseline is the index sort whose comparator called
 // std::hypot twice per comparison, measured just before the projection
-// switched to sorting precomputed keys (the other numbers are the seed
-// revision's).
+// switched to sorting precomputed keys. qforward_golden's baseline is the
+// int8 forward that quantized its input with a scalar loop, im2col'd with
+// per-element bounds checks and requantized one pixel at a time, measured
+// just before the per-thread-workspace forward replaced it (the other
+// numbers are the seed revision's).
 constexpr metrics baseline{3.4294, 1.0028, 11.221, 22.669, 16.181, 80.693, 145.371,
-                           138.080, 49.350, 66.232};
+                           138.080, 49.350, 25.250, 66.232};
 
 /// Synthetic walkway crowd: upright person blobs inside the default ROI
 /// plus clutter, ~8000 points at the default arguments.
@@ -216,6 +223,23 @@ metrics measure() {
     }
 
     {
+        // The deployed net (data/golden/hawc_int8.qmodel) on one 15 x 15
+        // x 7 HAP image: conv -> pool -> conv -> pool -> conv -> dense x 2,
+        // where per-sample work outside the GEMMs shows.
+        rng r{10};
+        const quantized_model qm = replay::load_quantized_file(
+            std::filesystem::path{HAWC_GOLDEN_DIR} / "hawc_int8.qmodel");
+        tensor input{{1, 15, 15, 7}};
+        for (std::size_t i = 0; i < input.size(); ++i) {
+            input[i] = static_cast<float>(r.normal());
+        }
+        m.qforward_golden_us = 1000.0 * time_ms(500, [&] {
+            volatile float sink = qm.forward(input)[0];
+            (void)sink;
+        });
+    }
+
+    {
         rng r{1};
         object_pool pool;
         pool.add_cloud(crowd_cloud(4, 64, 9));
@@ -240,6 +264,7 @@ void print_metrics(const char* indent, const metrics& m) {
     std::printf("%s\"qconv_18x18_7to16_us\": %.3f,\n", indent, m.qconv_us);
     std::printf("%s\"qdense_b8_512to98to2_us\": %.3f,\n", indent, m.qdense_us);
     std::printf("%s\"hap_projection_225_us\": %.3f,\n", indent, m.hap_projection_us);
+    std::printf("%s\"qforward_golden_us\": %.3f,\n", indent, m.qforward_golden_us);
     std::printf("%s\"e2e_count_8k_ms\": %.3f\n", indent, m.e2e_count_8k_ms);
 }
 
@@ -589,6 +614,8 @@ int main(int argc, char** argv) {
     std::printf("    \"qdense\": %.2f,\n", baseline.qdense_us / single.qdense_us);
     std::printf("    \"hap_projection_225\": %.2f,\n",
                 baseline.hap_projection_us / single.hap_projection_us);
+    std::printf("    \"qforward_golden\": %.2f,\n",
+                baseline.qforward_golden_us / single.qforward_golden_us);
     std::printf("    \"e2e_count_8k\": %.2f\n", baseline.e2e_count_8k_ms / single.e2e_count_8k_ms);
     std::printf("  }\n");
     std::printf("}\n");

@@ -108,6 +108,16 @@ using requant_fn = void (*)(const std::int32_t* acc, std::size_t n, float in_sca
                             float out_scale, std::int32_t out_zp, bool fused_relu,
                             std::int8_t* out);
 
+/// Input quantization: out[j] = quantize(x[j]) for j in [0, n) under
+/// the contract of quant_params::quantize — the back half of requant_fn
+/// above with real = x[j]: NaN -> the clamped zero-point code, +/-Inf ->
+/// the saturation endpoints, else round(x / scale + zp) half away from
+/// zero (a true division, never a reciprocal multiply), saturated to
+/// [-128, 127]. tests/test_kernels.cpp pins every tier bit-exact against
+/// quant_params::quantize.
+using quantize_fn = void (*)(const float* x, std::size_t n, float scale, std::int32_t zp,
+                             std::int8_t* out);
+
 /// One dispatchable implementation tier.
 struct kernel_ops {
     isa_tier tier = isa_tier::scalar;
@@ -115,6 +125,7 @@ struct kernel_ops {
     qgemm_fn qgemm = nullptr;
     sgemm_fn sgemm = nullptr;
     requant_fn requant = nullptr;
+    quantize_fn quantize = nullptr;
 };
 
 /// Tiers compiled into this binary and supported by the running CPU,

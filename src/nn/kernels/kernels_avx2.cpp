@@ -173,20 +173,50 @@ inline __m256 round_half_away(__m256 x) {
     return _mm256_add_ps(t, _mm256_and_ps(bump, one));
 }
 
+/// The float -> int8 back half of the requant contract (requant_cast)
+/// on 8 lanes, shared by requant_avx2 and quantize_avx2: divide by the
+/// output scale (a true division, as the scalar contract does), add the
+/// zero point, round half away from zero, saturate, override NaN lanes
+/// with the zero-point code, and store 8 int8 codes to `out`.
+struct quantize_lanes {
+    __m256 scale;
+    __m256 zp;
+    __m256i nan_code;
+
+    quantize_lanes(float out_scale, std::int32_t out_zp)
+        : scale{_mm256_set1_ps(out_scale)},
+          zp{_mm256_set1_ps(static_cast<float>(out_zp))},
+          nan_code{_mm256_set1_epi32(std::clamp(out_zp, -128, 127))} {}
+
+    void store(__m256 real, std::int8_t* out) const {
+        const __m256 r = round_half_away(_mm256_add_ps(_mm256_div_ps(real, scale), zp));
+        // max(min(r, 127), -128): minps/maxps pass their second operand
+        // through on NaN, so NaN lanes land on an arbitrary in-range
+        // value here — the unordered-compare blend below overrides them
+        // with the zero-point code, matching requant_cast.
+        const __m256 clamped =
+            _mm256_max_ps(_mm256_min_ps(r, _mm256_set1_ps(127.0f)), _mm256_set1_ps(-128.0f));
+        __m256i q = _mm256_cvttps_epi32(clamped);  // integral already; trunc is exact
+        const __m256i is_nan = _mm256_castps_si256(_mm256_cmp_ps(real, real, _CMP_UNORD_Q));
+        q = _mm256_blendv_epi8(q, nan_code, is_nan);
+        // Narrow 8 x int32 -> 8 x int8; values are in [-128, 127] so the
+        // saturating packs are exact.
+        const __m128i w16 =
+            _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
+        const __m128i b8 = _mm_packs_epi16(w16, w16);
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(out), b8);
+    }
+};
+
 void requant_avx2(const std::int32_t* acc, std::size_t n, float in_scale,
                   const float* weight_scales, const float* bias, float out_scale,
                   std::int32_t out_zp, bool fused_relu, std::int8_t* out) {
     const __m256 vin = _mm256_set1_ps(in_scale);
-    const __m256 vscale = _mm256_set1_ps(out_scale);
-    const __m256 vzp = _mm256_set1_ps(static_cast<float>(out_zp));
     const __m256 vzero = _mm256_setzero_ps();
-    const __m256 vhi = _mm256_set1_ps(127.0f);
-    const __m256 vlo = _mm256_set1_ps(-128.0f);
     // Lane-wide ReLU switch: AND the real<0 mask with all-ones/all-zero
     // instead of branching per lane.
     const __m256 relu_on = _mm256_castsi256_ps(_mm256_set1_epi32(fused_relu ? -1 : 0));
-    const __m256i nan_code =
-        _mm256_set1_epi32(std::clamp(out_zp, -128, 127));  // NaN -> zero-point code
+    const quantize_lanes lanes{out_scale, out_zp};
     std::size_t j = 0;
     for (; j + 8 <= n; j += 8) {
         const __m256 a =
@@ -198,22 +228,7 @@ void requant_avx2(const std::int32_t* acc, std::size_t n, float in_scale,
             _mm256_loadu_ps(bias + j));
         const __m256 neg = _mm256_and_ps(_mm256_cmp_ps(real, vzero, _CMP_LT_OQ), relu_on);
         real = _mm256_blendv_ps(real, vzero, neg);
-        const __m256 r = round_half_away(_mm256_add_ps(_mm256_div_ps(real, vscale), vzp));
-        // max(min(r, 127), -128): minps/maxps pass their second operand
-        // through on NaN, so NaN lanes land on an arbitrary in-range
-        // value here — the unordered-compare blend below overrides them
-        // with the zero-point code, matching requant_cast.
-        const __m256 clamped = _mm256_max_ps(_mm256_min_ps(r, vhi), vlo);
-        __m256i q = _mm256_cvttps_epi32(clamped);  // integral already; trunc is exact
-        const __m256i is_nan =
-            _mm256_castps_si256(_mm256_cmp_ps(real, real, _CMP_UNORD_Q));
-        q = _mm256_blendv_epi8(q, nan_code, is_nan);
-        // Narrow 8 x int32 -> 8 x int8; values are in [-128, 127] so the
-        // saturating packs are exact.
-        const __m128i w16 =
-            _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
-        const __m128i b8 = _mm_packs_epi16(w16, w16);
-        _mm_storel_epi64(reinterpret_cast<__m128i*>(out + j), b8);
+        lanes.store(real, out + j);
     }
     for (; j < n; ++j) {
         out[j] = requant_one(acc[j], in_scale, weight_scales[j], bias[j], out_scale, out_zp,
@@ -221,13 +236,21 @@ void requant_avx2(const std::int32_t* acc, std::size_t n, float in_scale,
     }
 }
 
+void quantize_avx2(const float* x, std::size_t n, float scale, std::int32_t zp,
+                   std::int8_t* out) {
+    const quantize_lanes lanes{scale, zp};
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) lanes.store(_mm256_loadu_ps(x + j), out + j);
+    for (; j < n; ++j) out[j] = requant_cast(x[j], scale, zp);
+}
+
 }  // namespace
 
 const kernel_ops* avx2_kernels() {
     static const bool cpu_ok = __builtin_cpu_supports("avx2") != 0;
     if (!cpu_ok) return nullptr;
-    static const kernel_ops ops{isa_tier::avx2, "avx2", &qgemm_avx2, &sgemm_avx2,
-                                &requant_avx2};
+    static const kernel_ops ops{isa_tier::avx2, "avx2",       &qgemm_avx2,
+                                &sgemm_avx2,    &requant_avx2, &quantize_avx2};
     return &ops;
 }
 

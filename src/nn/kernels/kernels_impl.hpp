@@ -31,6 +31,11 @@ inline std::int8_t requant_cast(float real, float out_scale, std::int32_t out_zp
     return static_cast<std::int8_t>(std::clamp(rounded, -128.0f, 127.0f));
 }
 
+/// The scalar tier's quantize kernel (requant_cast per element). The
+/// NEON tier registers it too; there is no NEON quantize kernel yet.
+void quantize_scalar(const float* x, std::size_t n, float scale, std::int32_t zp,
+                     std::int8_t* out);
+
 /// One element of the requant contract including the scale/bias/ReLU
 /// front half; the tails of every tier funnel through this.
 inline std::int8_t requant_one(std::int32_t acc, float in_scale, float weight_scale,

@@ -187,8 +187,8 @@ void requant_neon(const std::int32_t* acc, std::size_t n, float in_scale,
 }  // namespace
 
 const kernel_ops* neon_kernels() {
-    static const kernel_ops ops{isa_tier::neon, "neon", &qgemm_neon, &sgemm_neon,
-                                &requant_neon};
+    static const kernel_ops ops{isa_tier::neon, "neon",       &qgemm_neon,
+                                &sgemm_neon,    &requant_neon, &quantize_scalar};
     return &ops;
 }
 

@@ -89,9 +89,14 @@ void requant_scalar(const std::int32_t* acc, std::size_t n, float in_scale,
 
 }  // namespace
 
+void quantize_scalar(const float* x, std::size_t n, float scale, std::int32_t zp,
+                     std::int8_t* out) {
+    for (std::size_t j = 0; j < n; ++j) out[j] = requant_cast(x[j], scale, zp);
+}
+
 const kernel_ops* scalar_kernels() {
-    static const kernel_ops ops{isa_tier::scalar, "scalar", &qgemm_scalar, &sgemm_scalar,
-                                &requant_scalar};
+    static const kernel_ops ops{isa_tier::scalar, "scalar",        &qgemm_scalar,
+                                &sgemm_scalar,    &requant_scalar, &quantize_scalar};
     return &ops;
 }
 

@@ -1,21 +1,26 @@
-// Allocation accounting for the hot KD-tree queries. This binary replaces
-// the global operator new/delete with counting wrappers, so it must stay
-// a dedicated executable: the *_into queries are required to perform ZERO
-// heap allocations at steady state (after the caller's reused buffers
-// reach their plateau capacity), which is what lets DBSCAN phase 1, the
-// k-NN elbow curve and the HAP sigma pass issue millions of queries
-// without serializing on the allocator.
+// Allocation accounting for the hot KD-tree queries and the int8 forward.
+// This binary replaces the global operator new/delete with counting
+// wrappers, so it must stay a dedicated executable: the *_into queries are
+// required to perform ZERO heap allocations at steady state (after the
+// caller's reused buffers reach their plateau capacity), which is what
+// lets DBSCAN phase 1, the k-NN elbow curve and the HAP sigma pass issue
+// millions of queries without serializing on the allocator; the int8
+// forward, run once per cluster, allocates only the logits it returns.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "pointcloud/kd_tree.hpp"
+#include "quant/q_model.hpp"
+#include "replay/model_io.hpp"
 
 namespace {
 
@@ -121,6 +126,38 @@ TEST(kd_alloc, count_within_never_allocates) {
     const std::uint64_t after = g_news.load(std::memory_order_relaxed);
     EXPECT_GT(total, 0u);
     EXPECT_EQ(after - before, 0u);
+}
+
+TEST(q_alloc, golden_int8_forward_allocates_only_its_logits) {
+    const std::size_t threads = global_thread_count();
+    set_global_thread_count(1);
+    const quantized_model model =
+        replay::load_quantized_file(std::filesystem::path{HAWC_GOLDEN_DIR} / "hawc_int8.qmodel");
+    rng r{12};
+    tensor sample{{1, 15, 15, 7}};
+    for (std::size_t i = 0; i < sample.size(); ++i) {
+        sample[i] = static_cast<float>(r.uniform(-1.0, 2.0));
+    }
+
+    // The returned logits tensor owns a shape vector and its data: that
+    // is the whole allocation budget of one forward.
+    std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    const tensor like_logits{std::vector<std::size_t>{1, 2}};
+    const std::uint64_t logits_allocs = g_news.load(std::memory_order_relaxed) - before;
+
+    // Warm-up: the per-thread workspace grows to its plateau.
+    for (int i = 0; i < 3; ++i) ASSERT_EQ(model.forward(sample).shape(), like_logits.shape());
+
+    constexpr std::uint64_t forwards = 100;
+    before = g_news.load(std::memory_order_relaxed);
+    for (std::uint64_t i = 0; i < forwards; ++i) {
+        const tensor logits = model.forward(sample);
+        ASSERT_EQ(logits.size(), 2u);
+    }
+    const std::uint64_t allocs = g_news.load(std::memory_order_relaxed) - before;
+    set_global_thread_count(threads);
+    EXPECT_EQ(allocs, forwards * logits_allocs)
+        << allocs << " allocations in " << forwards << " forwards";
 }
 
 }  // namespace

@@ -16,10 +16,12 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/kernels/kernels.hpp"
+#include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
 #include "quant/calibrate.hpp"
 #include "quant/q_model.hpp"
@@ -283,6 +285,205 @@ TEST(kernel_parity, requant_rounding_saturation_and_nonfinite_edges) {
             }
         }
     }
+}
+
+TEST(kernel_parity, quantize_every_tier_matches_quantize_contract) {
+    // Edge values cycle through every lane position of the vector body
+    // and the scalar tail: every length 0..33 starts the cycle at a
+    // different offset. With scale 1 the quotient is the value itself, so
+    // the +/-k.5 entries are exact rounding ties.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float qnan = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<float> edges = {0.5f,    -0.5f,  2.5f,    -2.5f,       126.5f,
+                                      -127.5f, 127.5f, -128.5f, 200.0f,      -200.0f,
+                                      1e30f,   -1e30f, qnan,    inf,         -inf,
+                                      0.0f,    -0.0f,  8388609.0f, 0.49999997f, -3.25f};
+    rng r{41};
+    constexpr std::int8_t sentinel = 42;
+    quant_params unit;  // scale 1
+    for (const quant_params base : {unit, quant_params::from_range(-3.0f, 5.0f)}) {
+        for (const std::int32_t zp : {0, -5, -128, 127}) {
+            quant_params q = base;
+            q.zero_point = zp;
+            const double spread = 200.0 * static_cast<double>(q.scale);
+            for (std::size_t n = 0; n <= 33; ++n) {
+                std::vector<float> x(n);
+                for (std::size_t j = 0; j < n; ++j) {
+                    x[j] = j % 3 == 2 ? static_cast<float>(r.normal(0.0, spread))
+                                      : edges[(j + n) % edges.size()];
+                }
+                std::vector<std::int8_t> want(n);
+                for (std::size_t j = 0; j < n; ++j) want[j] = q.quantize(x[j]);
+                for (const auto* tier : kernels::registered_kernels()) {
+                    std::vector<std::int8_t> got(n + 8, sentinel);
+                    tier->quantize(x.data(), n, q.scale, q.zero_point, got.data());
+                    for (std::size_t j = 0; j < n; ++j) {
+                        ASSERT_EQ(got[j], want[j]) << tier->name << " n=" << n << " j=" << j
+                                                   << " x=" << x[j] << " zp=" << zp
+                                                   << " scale=" << q.scale;
+                    }
+                    for (std::size_t j = n; j < got.size(); ++j) {
+                        ASSERT_EQ(got[j], sentinel) << tier->name << " wrote past n=" << n;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Direct-loop int8 forward over a model's ops: bounds-checked taps, no
+/// im2col, no packed weights, no workspace, every activation through
+/// quant_params::quantize. An independent oracle for the execution
+/// layout of quantized_model::forward.
+tensor reference_int8_forward(const quantized_model& model, const tensor& input) {
+    std::vector<std::size_t> shape = input.shape();
+    quant_params params = model.input_params();
+    std::vector<std::int8_t> x(input.size());
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = params.quantize(input[i]);
+    const auto requant = [](std::int32_t acc, float in_scale, float ws, float bias, bool relu,
+                            const quant_params& out_q) {
+        float real = static_cast<float>(acc) * in_scale * ws + bias;
+        if (relu && real < 0.0f) real = 0.0f;
+        return out_q.quantize(real);
+    };
+    for (std::size_t oi = 0; oi < model.op_count(); ++oi) {
+        std::visit(
+            [&](const auto& op) {
+                using T = std::decay_t<decltype(op)>;
+                std::vector<std::int8_t> y;
+                if constexpr (std::is_same_v<T, q_conv_op>) {
+                    const std::size_t b = shape[0], h = shape[1], w = shape[2];
+                    const std::size_t oh_n = h + 2 * op.pad - op.kernel + 1;
+                    const std::size_t ow_n = w + 2 * op.pad - op.kernel + 1;
+                    const std::size_t ci_n = op.in_channels, co_n = op.out_channels;
+                    for (std::size_t n = 0; n < b; ++n)
+                    for (std::size_t oh = 0; oh < oh_n; ++oh)
+                    for (std::size_t ow = 0; ow < ow_n; ++ow)
+                    for (std::size_t co = 0; co < co_n; ++co) {
+                        std::int32_t acc = 0;
+                        for (std::size_t kh = 0; kh < op.kernel; ++kh)
+                        for (std::size_t kw = 0; kw < op.kernel; ++kw) {
+                            const long ih = static_cast<long>(oh + kh) - static_cast<long>(op.pad);
+                            const long iw = static_cast<long>(ow + kw) - static_cast<long>(op.pad);
+                            if (ih < 0 || iw < 0 || ih >= static_cast<long>(h) ||
+                                iw >= static_cast<long>(w)) {
+                                continue;
+                            }
+                            for (std::size_t ci = 0; ci < ci_n; ++ci) {
+                                const std::size_t xi =
+                                    ((n * h + static_cast<std::size_t>(ih)) * w +
+                                     static_cast<std::size_t>(iw)) * ci_n + ci;
+                                acc += (x[xi] - op.in_q.zero_point) *
+                                       op.weights[((kh * op.kernel + kw) * ci_n + ci) * co_n + co];
+                            }
+                        }
+                        y.push_back(requant(acc, op.in_q.scale, op.weight_scales[co],
+                                            op.bias[co], op.fused_relu, op.out_q));
+                    }
+                    shape = {b, oh_n, ow_n, co_n};
+                    params = op.out_q;
+                } else if constexpr (std::is_same_v<T, q_dense_op>) {
+                    for (std::size_t n = 0; n < shape[0]; ++n) {
+                        for (std::size_t o = 0; o < op.out_features; ++o) {
+                            std::int32_t acc = 0;
+                            for (std::size_t i = 0; i < op.in_features; ++i) {
+                                acc += (x[n * op.in_features + i] - op.in_q.zero_point) *
+                                       op.weights[i * op.out_features + o];
+                            }
+                            y.push_back(requant(acc, op.in_q.scale, op.weight_scales[o],
+                                                op.bias[o], op.fused_relu, op.out_q));
+                        }
+                    }
+                    shape = {shape[0], op.out_features};
+                    params = op.out_q;
+                } else if constexpr (std::is_same_v<T, q_pool_op>) {
+                    const std::size_t b = shape[0], h = shape[1], w = shape[2], c = shape[3];
+                    const std::size_t oh_n = h / op.window, ow_n = w / op.window;
+                    for (std::size_t n = 0; n < b; ++n)
+                    for (std::size_t oh = 0; oh < oh_n; ++oh)
+                    for (std::size_t ow = 0; ow < ow_n; ++ow)
+                    for (std::size_t ch = 0; ch < c; ++ch) {
+                        std::int8_t best = -128;
+                        for (std::size_t kh = 0; kh < op.window; ++kh)
+                        for (std::size_t kw = 0; kw < op.window; ++kw) {
+                            best = std::max(best, x[((n * h + oh * op.window + kh) * w +
+                                                     ow * op.window + kw) * c + ch]);
+                        }
+                        y.push_back(best);
+                    }
+                    shape = {b, oh_n, ow_n, c};
+                } else if constexpr (std::is_same_v<T, q_global_pool_op>) {
+                    const std::size_t spatial = shape[1] * shape[2], c = shape[3];
+                    y.assign(shape[0] * c, -128);
+                    for (std::size_t n = 0; n < shape[0]; ++n)
+                    for (std::size_t s = 0; s < spatial; ++s)
+                    for (std::size_t ch = 0; ch < c; ++ch) {
+                        y[n * c + ch] = std::max(y[n * c + ch], x[(n * spatial + s) * c + ch]);
+                    }
+                    shape = {shape[0], 1, 1, c};
+                } else {
+                    y = x;
+                    shape = {shape[0], x.size() / shape[0]};
+                }
+                x = std::move(y);
+            },
+            model.op_at(oi));
+    }
+    tensor out{shape};
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = params.dequantize(x[i]);
+    return out;
+}
+
+TEST(kernel_parity, pooled_twelve_channel_model_matches_direct_reference) {
+    // The golden net's shape — conv -> pool -> 12-channel conv -> pool ->
+    // 12-channel conv -> flatten -> dense — at odd spatial sizes: both
+    // pools drop a trailing row and column the convs then skip, and the
+    // unpooled last conv's 3-wide rows of 12 channels plus the 5-wide
+    // dense leave requant tails past the 8-lane body. Every tier at 1
+    // and 3 threads must match the direct-loop reference bit for bit.
+    rng r{79};
+    sequential model;
+    model.emplace<conv2d>(3, 8, 3, padding::same, r);
+    model.emplace<relu>();
+    model.emplace<max_pool2d>(2);
+    model.emplace<conv2d>(8, 12, 3, padding::same, r);
+    model.emplace<relu>();
+    model.emplace<max_pool2d>(2);
+    model.emplace<conv2d>(12, 12, 3, padding::same, r);
+    model.emplace<relu>();
+    model.emplace<flatten>();
+    model.emplace<dense>(3 * 3 * 12, 5, r);
+
+    std::vector<tensor> calib;
+    for (int i = 0; i < 4; ++i) {
+        tensor t{{1, 13, 15, 3}};
+        for (std::size_t j = 0; j < t.size(); ++j) {
+            t[j] = static_cast<float>(r.normal(0.0, 1.0));
+        }
+        calib.push_back(std::move(t));
+    }
+    const quantized_model q = quantize_model(model, calib);
+
+    tensor batch = tensor::stack({calib[0], calib[1], calib[2]});
+    batch[7] = std::numeric_limits<float>::quiet_NaN();
+    batch[100] = std::numeric_limits<float>::infinity();
+    batch[200] = -std::numeric_limits<float>::infinity();
+    const tensor want = reference_int8_forward(q, batch);
+    ASSERT_EQ(want.shape(), (std::vector<std::size_t>{3, 5}));
+
+    const std::size_t threads = global_thread_count();
+    for (const auto* tier : kernels::registered_kernels()) {
+        kernels::set_active_kernels_for_testing(tier);
+        for (const std::size_t t : {1u, 3u}) {
+            set_global_thread_count(t);
+            const tensor got = q.forward(batch);
+            ASSERT_EQ(got.shape(), want.shape());
+            ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+                << tier->name << " at " << t << " threads";
+        }
+    }
+    set_global_thread_count(threads);
+    kernels::set_active_kernels_for_testing(nullptr);
 }
 
 TEST(kernel_parity, forced_tiers_produce_identical_model_outputs) {
