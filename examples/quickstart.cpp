@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "classifiers/hawc_model.hpp"
+#include "common/timer.hpp"
 #include "counting/crowd_counter.hpp"
 
 using namespace hawc;
@@ -56,12 +57,13 @@ int main(int argc, char** argv) {
         visible_human_count(walkway_scene, scan_data, capture_cfg);
 
     const crowd_counter counter{capture_cfg, model};
+    const stopwatch sw;
     const count_result result = counter.count(scan_data.to_cloud(), scene_rng);
+    const double count_ms = sw.elapsed_ms();
 
     std::cout << "  scene contains " << walkway_scene.human_count() << " people ("
               << visible << " visible to the sensor)\n";
     std::cout << "  " << counter.name() << " counted " << result.count << " in "
-              << result.times.total_ms() << " ms (" << result.cluster_count
-              << " clusters examined)\n";
+              << count_ms << " ms (" << result.cluster_count << " clusters examined)\n";
     return 0;
 }

@@ -57,13 +57,9 @@ std::size_t estimate_multiplicity(const point_cloud& cluster, const multiplicity
 
 count_result crowd_counter::count(const point_cloud& raw, rng& random) const {
     count_result result;
-    stopwatch sw;
-
     const point_cloud ingested = ingest(raw, config_.roi, config_.ground);
-    result.times.ingest_ms = sw.elapsed_ms();
     if (ingested.empty()) return result;
 
-    sw.reset();
     std::vector<point_cloud> clusters;
     if (clusterer_) {
         clusters = clusterer_(ingested);
@@ -71,13 +67,10 @@ count_result crowd_counter::count(const point_cloud& raw, rng& random) const {
         clusters = adaptive_dbscan(ingested, config_.clustering)
                        .clusters.extract_clusters(ingested);
     }
-    result.times.clustering_ms = sw.elapsed_ms();
 
-    sw.reset();
     const cluster_count_result counted = count_clusters(clusters, random);
     result.count = counted.count;
     result.cluster_count = counted.examined;
-    result.times.classification_ms = sw.elapsed_ms();
     return result;
 }
 
@@ -182,16 +175,16 @@ crowd_counter::evaluation crowd_counter::evaluate(std::span<const crowd_sample> 
                                                   rng& random) const {
     HAWC_REQUIRE(!samples.empty(), "cannot evaluate on an empty dataset");
     counting_accumulator acc;
-    running_stats latency;
+    latency_recorder latency;
     for (const auto& sample : samples) {
-        const count_result r = count(sample.raw, random);
+        count_result r;
+        latency.measure([&] { r = count(sample.raw, random); });
         acc.add(static_cast<double>(r.count), static_cast<double>(sample.ground_truth));
-        latency.add(r.times.total_ms());
     }
     evaluation e;
     e.metrics = acc.metrics();
-    e.mean_latency_ms = latency.mean();
-    e.stddev_latency_ms = latency.stddev();
+    e.mean_latency_ms = latency.mean_ms();
+    e.stddev_latency_ms = latency.stddev_ms();
     return e;
 }
 

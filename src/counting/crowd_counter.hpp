@@ -41,19 +41,9 @@ struct multiplicity_config {
 /// Estimated person capacity of an oversized cluster's footprint.
 std::size_t estimate_multiplicity(const point_cloud& cluster, const multiplicity_config& config);
 
-/// Per-capture timing breakdown in milliseconds.
-struct stage_times {
-    double ingest_ms = 0.0;
-    double clustering_ms = 0.0;
-    double classification_ms = 0.0;
-
-    double total_ms() const { return ingest_ms + clustering_ms + classification_ms; }
-};
-
 struct count_result {
     std::size_t count = 0;           // clusters classified human
     std::size_t cluster_count = 0;   // clusters examined
-    stage_times times;
 };
 
 /// Result of the classification half of the pipeline alone.
@@ -100,7 +90,8 @@ public:
                                         const deadline& time_budget = {},
                                         const telemetry_handle& telem = {}) const;
 
-    /// Evaluate over a crowd dataset; collects MAE/MSE and latency.
+    /// Evaluate over a crowd dataset; collects MAE/MSE and the latency
+    /// of each whole count() call.
     struct evaluation {
         counting_metrics metrics;
         double mean_latency_ms = 0.0;

@@ -24,27 +24,6 @@ const char* to_string(fallback_rung rung) {
 
 namespace {
 
-std::string stat_line(const char* label, const running_stats& s) {
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "  %-16s %8.3f ms  (sd %.3f, max %.3f)\n", label,
-                  s.mean(), s.stddev(), s.max());
-    return buf;
-}
-
-}  // namespace
-
-namespace {
-
-std::string json_stat(const char* key, const running_stats& s) {
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "\"%s\":{\"count\":%llu,\"mean\":%.6f,\"stddev\":%.6f,\"min\":%.6f,"
-                  "\"max\":%.6f}",
-                  key, static_cast<unsigned long long>(s.count()), s.mean(), s.stddev(),
-                  s.count() > 0 ? s.min() : 0.0, s.count() > 0 ? s.max() : 0.0);
-    return buf;
-}
-
 std::string json_u64(const char* key, std::uint64_t v) {
     char buf[96];
     std::snprintf(buf, sizeof buf, "\"%s\":%llu", key, static_cast<unsigned long long>(v));
@@ -73,13 +52,8 @@ std::string health_counters::to_json() const {
     out += json_u64("duplicate_points_dropped", duplicate_points_dropped) + ",";
     out += json_u64("truncated_frames", truncated_frames) + ",";
     out += json_u64("classification_truncations", classification_truncations) + ",";
-    out += json_u64("frame_deadline_overruns", frame_deadline_overruns) + ",";
-    out += "\"latency_ms\":{";
-    out += json_stat("ingest", ingest_ms) + ",";
-    out += json_stat("clustering", clustering_ms) + ",";
-    out += json_stat("classification", classification_ms) + ",";
-    out += json_stat("frame", frame_ms);
-    out += "}}";
+    out += json_u64("frame_deadline_overruns", frame_deadline_overruns);
+    out += "}";
     return out;
 }
 
@@ -114,11 +88,6 @@ std::string health_counters::summary() const {
                   static_cast<unsigned long long>(classification_truncations),
                   static_cast<unsigned long long>(frame_deadline_overruns));
     out += buf;
-    out += "latency\n";
-    out += stat_line("ingest", ingest_ms);
-    out += stat_line("clustering", clustering_ms);
-    out += stat_line("classification", classification_ms);
-    out += stat_line("frame", frame_ms);
     return out;
 }
 

@@ -2,13 +2,14 @@
 
 // Per-frame health accounting for the streaming runtime. The supervisor
 // classifies every frame as ok / degraded / dropped and records which
-// rung of the graceful-degradation ladder fired; the bench harness and
-// the resilient_service example print these counters directly.
+// rung of the graceful-degradation ladder fired; health_counters is a
+// snapshot of those counters, which the bench harness and the
+// resilient_service example print directly. Stage latency is not here:
+// it lives only in the supervisor registry's histograms (hawc_*_ms),
+// served with count/sum/min/max/p50/p95/p99 by the telemetry exporters.
 
 #include <cstdint>
 #include <string>
-
-#include "common/stats.hpp"
 
 namespace hawc {
 
@@ -58,12 +59,6 @@ struct health_counters {
     std::uint64_t classification_truncations = 0;  // cluster loop hit its budget
     std::uint64_t frame_deadline_overruns = 0;
 
-    // Stage latencies over all processed frames.
-    running_stats ingest_ms;
-    running_stats clustering_ms;
-    running_stats classification_ms;
-    running_stats frame_ms;
-
     /// True when every frame carries exactly one status.
     bool accounted() const {
         return frames_ok + frames_degraded + frames_dropped == frames_total;
@@ -72,9 +67,9 @@ struct health_counters {
     /// Multi-line human-readable report.
     std::string summary() const;
 
-    /// Single JSON object (counters as integers, latency stats as nested
-    /// objects with count/mean/stddev/min/max). Machine-readable
-    /// counterpart of summary(); resilient_service --json emits it.
+    /// Single flat JSON object of the epoch and every counter, as
+    /// integers. Machine-readable counterpart of summary();
+    /// resilient_service --json emits it.
     std::string to_json() const;
 };
 

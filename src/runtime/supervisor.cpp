@@ -13,7 +13,6 @@ bool resilient_classifier::is_human(const point_cloud& cluster, rng& random) con
     try {
         return primary_->is_human(cluster, random);
     } catch (const std::exception&) {
-        ++faults_;
         if (!fallback_) throw;
         ++fallbacks_;
         return fallback_->is_human(cluster, random);
@@ -88,10 +87,6 @@ health_counters frame_supervisor::health() const {
     h.truncated_frames = rc_.truncated_frames->value();
     h.classification_truncations = rc_.classification_truncations->value();
     h.frame_deadline_overruns = rc_.frame_deadline_overruns->value();
-    h.ingest_ms = ingest_stats_;
-    h.clustering_ms = clustering_stats_;
-    h.classification_ms = classification_stats_;
-    h.frame_ms = frame_stats_;
     return h;
 }
 
@@ -100,10 +95,6 @@ void frame_supervisor::reset_health() {
     // snapshot readers while frames_total itself rolls back to zero.
     ++health_epoch_;
     metrics_.reset();
-    ingest_stats_ = {};
-    clustering_stats_ = {};
-    classification_stats_ = {};
-    frame_stats_ = {};
 }
 
 void frame_supervisor::restart() {
@@ -151,6 +142,14 @@ void frame_supervisor::degrade(frame_report& report, pipeline_stage stage, failu
 
 namespace {
 
+/// Duplicates above this fraction of the ingested cloud flag the frame
+/// degraded (a handful can be genuine coincidences).
+constexpr double duplicate_degrade_fraction = 0.05;
+
+/// Returns deeper than below_ground_tolerance_m under the ground plane
+/// above this fraction of the clean cloud flag the frame degraded.
+constexpr double below_ground_degrade_fraction = 0.01;
+
 /// Exact-duplicate removal: sort-and-unique on coordinates. O(n log n) on
 /// the (already ROI-cropped) ingested cloud, well below clustering cost.
 point_cloud dedupe(const point_cloud& cloud) {
@@ -191,9 +190,9 @@ void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
         degrade(report, pipeline_stage::capture, failure_kind::non_finite_input,
                 std::to_string(stats.non_finite) + " non-finite points dropped");
     }
-    if (config_.below_ground_degrade_fraction > 0.0 && clean_size > 0 &&
+    if (clean_size > 0 &&
         static_cast<double>(stats.below_floor) >
-            config_.below_ground_degrade_fraction * static_cast<double>(clean_size)) {
+            below_ground_degrade_fraction * static_cast<double>(clean_size)) {
         degrade(report, pipeline_stage::capture, failure_kind::implausible_geometry,
                 std::to_string(stats.below_floor) + " returns below the ground plane");
     }
@@ -221,7 +220,7 @@ void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
         if (duplicates > 0) {
             rc_.duplicate_points->add(duplicates);
             if (static_cast<double>(duplicates) >
-                config_.duplicate_degrade_fraction * static_cast<double>(before)) {
+                duplicate_degrade_fraction * static_cast<double>(before)) {
                 degrade(report, pipeline_stage::ingest, failure_kind::duplicate_points,
                         std::to_string(duplicates) + " of " + std::to_string(before) +
                             " ingested points were duplicates");
@@ -393,10 +392,6 @@ frame_report frame_supervisor::process(const point_cloud& raw, rng& random) {
         case frame_status::degraded: rc_.frames_degraded->add(1); break;
         case frame_status::dropped: rc_.frames_dropped->add(1); break;
     }
-    ingest_stats_.add(report.times.ingest_ms);
-    clustering_stats_.add(report.times.clustering_ms);
-    classification_stats_.add(report.times.classification_ms);
-    frame_stats_.add(report.frame_ms);
     rc_.ingest_ms->record(report.times.ingest_ms);
     rc_.clustering_ms->record(report.times.clustering_ms);
     rc_.classification_ms->record(report.times.classification_ms);

@@ -14,7 +14,8 @@
 //                        bounded by a staleness cap, then admit a zero
 //
 // process() never throws; every frame is accounted ok/degraded/dropped in
-// the health counters. The watchdog is cooperative (stages poll a
+// the health counters, and its stage latencies are recorded only in the
+// registry's histograms. The watchdog is cooperative (stages poll a
 // monotonic deadline between work items), which bounds latency without
 // threads on single-core edge targets; see DESIGN.md "Fault model".
 
@@ -44,19 +45,17 @@ public:
     std::string name() const override;
 
     /// Safe whenever both wrapped classifiers are: the adapter itself
-    /// only touches its atomic fault counters.
+    /// only touches its atomic rescue counter.
     bool thread_safe() const override {
         return primary_->thread_safe() && (fallback_ == nullptr || fallback_->thread_safe());
     }
 
     std::uint64_t fallback_activations() const { return fallbacks_.load(std::memory_order_relaxed); }
-    std::uint64_t primary_faults() const { return faults_.load(std::memory_order_relaxed); }
 
 private:
     const human_classifier* primary_;
     const human_classifier* fallback_;
     mutable std::atomic<std::uint64_t> fallbacks_{0};
-    mutable std::atomic<std::uint64_t> faults_{0};
 };
 
 struct supervisor_config {
@@ -71,17 +70,13 @@ struct supervisor_config {
     /// a return inflate local density, which corrupts both the k-NN elbow
     /// and DBSCAN core counts.
     bool dedupe_points = true;
-    /// Duplicates above this fraction of the ingested cloud flag the
-    /// frame degraded (a handful can be genuine coincidences).
-    double duplicate_degrade_fraction = 0.05;
 
     /// Geometry plausibility: a pole-mounted sensor cannot see through
     /// the walkway, so returns well below the ground plane mean a range
     /// noise burst (multipath, retro-reflector). Frames where more than
-    /// `below_ground_degrade_fraction` of returns sit deeper than
-    /// tolerance below ground are flagged degraded.
+    /// 1% of returns sit deeper than this below ground are flagged
+    /// degraded.
     double below_ground_tolerance_m = 0.3;
-    double below_ground_degrade_fraction = 0.01;
 
     // Cooperative watchdog budgets (steady clock), in ms; <= 0 disables.
     double eps_selection_deadline_ms = 100.0;
@@ -119,6 +114,14 @@ struct supervisor_carry {
     bool operator==(const supervisor_carry&) const = default;
 };
 
+/// One frame's stage latencies in milliseconds. process() records each
+/// into its registry histogram; a stage the frame never reached stays 0.
+struct stage_times {
+    double ingest_ms = 0.0;
+    double clustering_ms = 0.0;
+    double classification_ms = 0.0;
+};
+
 /// Outcome of one supervised frame.
 struct frame_report {
     frame_status status = frame_status::ok;
@@ -148,13 +151,12 @@ public:
     /// back dropped, with the stale-count rung applied.
     frame_report process(const point_cloud& raw, rng& random);
 
-    /// Health accounting as a snapshot struct. Since the telemetry
-    /// migration the registry below is authoritative; this view is
-    /// assembled from it (plus the exact per-stage running_stats), so
-    /// existing consumers keep compiling and the numbers keep agreeing.
-    /// Every reset/restart bumps the snapshot's monotonic epoch, so
-    /// consumers ordering by (epoch, frames_total) never observe progress
-    /// running backwards across a restart (see health.hpp::progressed).
+    /// Health counters as a snapshot struct, read from the registry
+    /// below. Stage latency is not in it: scrape the registry's
+    /// histograms for that. Every reset/restart bumps the snapshot's
+    /// monotonic epoch, so consumers ordering by (epoch, frames_total)
+    /// never observe progress running backwards across a restart (see
+    /// health.hpp::progressed).
     health_counters health() const;
     void reset_health();
 
@@ -237,13 +239,6 @@ private:
     telemetry::tracer tracer_;
     telemetry::event_sink* events_ = nullptr;
     std::uint64_t frame_seq_ = 0;
-
-    // Exact Welford stats backing the legacy health_counters view (the
-    // histograms above carry the tail percentiles; these carry mean/sd).
-    running_stats ingest_stats_;
-    running_stats clustering_stats_;
-    running_stats classification_stats_;
-    running_stats frame_stats_;
 
     std::uint64_t health_epoch_ = 0;
 

@@ -121,19 +121,6 @@ TEST(crowd_counter_test, empty_capture_counts_zero) {
     EXPECT_EQ(result.cluster_count, 0u);
 }
 
-TEST(crowd_counter_test, stage_times_populated) {
-    const capture_config cfg;
-    constant_classifier always{true};
-    const crowd_counter counter{cfg, always};
-    rng r{5};
-    const auto sample = make_sample(2, 21);
-    const count_result result = counter.count(sample.raw, r);
-    EXPECT_GE(result.times.ingest_ms, 0.0);
-    EXPECT_GT(result.times.clustering_ms, 0.0);
-    EXPECT_GE(result.times.total_ms(),
-              result.times.clustering_ms + result.times.classification_ms);
-}
-
 TEST(crowd_counter_test, evaluate_aggregates) {
     const capture_config cfg;
     height_classifier rule;

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -105,7 +107,12 @@ TEST(kernel_dispatch, forcing_hook_overrides_selection) {
     kernels::set_active_kernels_for_testing(scalar);
     EXPECT_EQ(&kernels::active_kernels(), scalar);
     kernels::set_active_kernels_for_testing(nullptr);
-    EXPECT_EQ(&kernels::active_kernels(), kernels::registered_kernels().front());
+    // Clearing the hook restores the normal selection: the tier
+    // HAWC_KERNEL_ISA names, else the best registered one.
+    const char* env = std::getenv("HAWC_KERNEL_ISA");
+    const bool named = env != nullptr && *env != '\0' && std::string_view{env} != "auto";
+    EXPECT_EQ(&kernels::active_kernels(),
+              named ? kernels::find_kernels(env) : kernels::registered_kernels().front());
 }
 
 TEST(kernel_dispatch, isa_gauges_report_active_tier) {

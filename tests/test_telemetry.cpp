@@ -485,23 +485,39 @@ TEST(telemetry, health_view_agrees_with_the_registry) {
     EXPECT_EQ(h.truncated_frames, 1u);
 
     const telemetry::metrics_registry& reg = supervisor.metrics();
-    EXPECT_EQ(h.frames_total, reg.find_counter("hawc_frames_total")->value());
-    EXPECT_EQ(h.frames_ok, reg.find_counter("hawc_frames_ok_total")->value());
-    EXPECT_EQ(h.frames_degraded, reg.find_counter("hawc_frames_degraded_total")->value());
-    EXPECT_EQ(h.frames_dropped, reg.find_counter("hawc_frames_dropped_total")->value());
-    EXPECT_EQ(h.truncated_frames, reg.find_counter("hawc_frames_truncated_total")->value());
+    const auto counter = [&](const char* name) { return reg.find_counter(name)->value(); };
+    EXPECT_EQ(h.frames_total, counter("hawc_frames_total"));
+    EXPECT_EQ(h.frames_ok, counter("hawc_frames_ok_total"));
+    EXPECT_EQ(h.frames_degraded, counter("hawc_frames_degraded_total"));
+    EXPECT_EQ(h.frames_dropped, counter("hawc_frames_dropped_total"));
+    EXPECT_EQ(h.fixed_eps_fallbacks, counter("hawc_fallback_fixed_eps_total"));
+    EXPECT_EQ(h.float_model_fallbacks, counter("hawc_fallback_float_model_total"));
+    EXPECT_EQ(h.stale_counts_served, counter("hawc_stale_counts_served_total"));
+    EXPECT_EQ(h.stale_cap_exhausted, counter("hawc_stale_cap_exhausted_total"));
+    EXPECT_EQ(h.non_finite_points_dropped, counter("hawc_points_non_finite_dropped_total"));
+    EXPECT_EQ(h.duplicate_points_dropped, counter("hawc_points_duplicate_dropped_total"));
+    EXPECT_EQ(h.truncated_frames, counter("hawc_frames_truncated_total"));
+    EXPECT_EQ(h.classification_truncations, counter("hawc_classification_truncations_total"));
+    EXPECT_EQ(h.frame_deadline_overruns, counter("hawc_frame_deadline_overruns_total"));
 
-    // The registry histogram and the legacy running_stats saw the same
-    // frames.
-    const telemetry::latency_histogram* frame_ms = reg.find_histogram("hawc_frame_ms");
-    ASSERT_NE(frame_ms, nullptr);
-    EXPECT_EQ(frame_ms->count(), h.frame_ms.count());
-    EXPECT_NEAR(frame_ms->mean(), h.frame_ms.mean(), 1e-9);
+    // Stage latency lives only in the registry: one sample per processed
+    // frame in each per-frame stage histogram, and reset_health() clears
+    // them all along with the counters.
+    const char* const frame_stages[] = {"hawc_frame_ms", "hawc_ingest_ms", "hawc_clustering_ms",
+                                        "hawc_classification_ms"};
+    for (const char* name : frame_stages) {
+        ASSERT_NE(reg.find_histogram(name), nullptr) << name;
+        EXPECT_EQ(reg.find_histogram(name)->count(), h.frames_total) << name;
+    }
+    ASSERT_NE(reg.find_histogram("hawc_eps_selection_ms"), nullptr);
 
     supervisor.reset_health();
     EXPECT_EQ(supervisor.health().frames_total, 0u);
     EXPECT_EQ(reg.find_counter("hawc_frames_total")->value(), 0u);
-    EXPECT_EQ(supervisor.health().frame_ms.count(), 0u);
+    for (const char* name : frame_stages) {
+        EXPECT_EQ(reg.find_histogram(name)->count(), 0u) << name;
+    }
+    EXPECT_EQ(reg.find_histogram("hawc_eps_selection_ms")->count(), 0u);
 }
 
 TEST(telemetry, health_counters_to_json_round_trips_the_counters) {
@@ -511,8 +527,7 @@ TEST(telemetry, health_counters_to_json_round_trips_the_counters) {
     h.frames_degraded = 2;
     h.frames_dropped = 1;
     h.stale_counts_served = 1;
-    h.frame_ms.add(2.0);
-    h.frame_ms.add(4.0);
+    h.epoch = 3;
 
     const std::string json = h.to_json();
     EXPECT_NE(json.find("\"frames_total\":10"), std::string::npos);
@@ -520,8 +535,7 @@ TEST(telemetry, health_counters_to_json_round_trips_the_counters) {
     EXPECT_NE(json.find("\"frames_degraded\":2"), std::string::npos);
     EXPECT_NE(json.find("\"frames_dropped\":1"), std::string::npos);
     EXPECT_NE(json.find("\"stale_counts_served\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"latency_ms\""), std::string::npos);
-    EXPECT_NE(json.find("\"frame\":{\"count\":2,\"mean\":3.000000"), std::string::npos);
+    EXPECT_NE(json.find("\"epoch\":3"), std::string::npos);
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
 }
