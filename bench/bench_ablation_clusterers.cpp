@@ -28,9 +28,8 @@ int main() {
 
     text_table table{{"Clustering stage", "MAE", "MSE", "Latency (ms)"}};
 
-    auto evaluate_with = [&](const std::string& name, clusterer_fn clusterer) {
+    auto evaluate_with = [&](const std::string& name, const clusterer_fn& clusterer) {
         crowd_counter counter{crowd_cfg.capture, model};
-        if (clusterer) counter.set_clusterer(std::move(clusterer));
         // One count per cluster: isolate the clustering stage from the
         // merged-cluster splitter, as in bench_table4.
         multiplicity_config no_split;
@@ -38,13 +37,15 @@ int main() {
         counter.set_multiplicity(no_split);
         rng eval_rng{31};
         std::cerr << "[bench] evaluating " << name << "...\n";
-        const auto eval = counter.evaluate(crowd, eval_rng);
+        const auto eval = evaluate(crowd, eval_rng, [&](const point_cloud& raw, rng& random) {
+            return count_with(counter, clusterer, raw, random);
+        });
         table.add_row({name, text_table::num(eval.metrics.mae),
                        text_table::num(eval.metrics.mse),
                        text_table::num(eval.mean_latency_ms)});
     };
 
-    evaluate_with("Adaptive DBSCAN (ours)", {});
+    evaluate_with("Adaptive DBSCAN (ours)", adaptive_clusterer(crowd_cfg.capture));
 
     // k-means with elbow-selected k: the "what if we had to guess k"
     // strategy the paper dismisses.

@@ -2,6 +2,10 @@
 
 #include <cstdlib>
 
+#include "clustering/adaptive_eps.hpp"
+#include "common/error.hpp"
+#include "preprocess/ingest.hpp"
+
 namespace hawc::bench {
 
 bool fast_mode() {
@@ -77,6 +81,33 @@ hawc_model train_standard_hawc(const single_person_dataset& ds, rng& random) {
     std::cerr << "[bench] HAWC trained in " << static_cast<int>(sw.elapsed_ms() / 1000.0)
               << " s\n";
     return model;
+}
+
+evaluation evaluate(std::span<const crowd_sample> samples, rng& random,
+                    const count_frame_fn& count_frame) {
+    HAWC_REQUIRE(!samples.empty(), "cannot evaluate on an empty dataset");
+    counting_accumulator acc;
+    latency_recorder latency;
+    for (const auto& sample : samples) {
+        std::size_t counted = 0;
+        latency.measure([&] { counted = count_frame(sample.raw, random); });
+        acc.add(static_cast<double>(counted), static_cast<double>(sample.ground_truth));
+    }
+    return {acc.metrics(), latency.mean_ms(), latency.stddev_ms()};
+}
+
+std::size_t count_with(const crowd_counter& counter, const clusterer_fn& clusterer,
+                       const point_cloud& raw, rng& random) {
+    const capture_config& config = counter.config();
+    const point_cloud ingested = ingest(raw, config.roi, config.ground);
+    if (ingested.empty()) return 0;
+    return counter.count_clusters(clusterer(ingested), random).count;
+}
+
+clusterer_fn adaptive_clusterer(const capture_config& config) {
+    return [clustering = config.clustering](const point_cloud& cloud) {
+        return adaptive_dbscan(cloud, clustering).clusters.extract_clusters(cloud);
+    };
 }
 
 void print_header(const std::string& table_name, const std::string& description) {

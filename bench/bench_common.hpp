@@ -8,7 +8,9 @@
 // run a reduced configuration (smaller dataset, fewer epochs) when
 // iterating; the shipped numbers in EXPERIMENTS.md use the default.
 
+#include <functional>
 #include <iostream>
+#include <span>
 #include <string>
 
 #include "classifiers/autoencoder_model.hpp"
@@ -42,6 +44,28 @@ autoencoder_config standard_autoencoder_config();
 
 /// Train the standard HAWC (prints progress to stderr).
 hawc_model train_standard_hawc(const single_person_dataset& ds, rng& random);
+
+/// One raw capture in, people counted out.
+using count_frame_fn = std::function<std::size_t(const point_cloud& raw, rng& random)>;
+
+/// Counting error over a crowd dataset and the latency of each
+/// count_frame call.
+struct evaluation {
+    counting_metrics metrics;
+    double mean_latency_ms = 0.0;
+    double stddev_latency_ms = 0.0;
+};
+evaluation evaluate(std::span<const crowd_sample> samples, rng& random,
+                    const count_frame_fn& count_frame);
+
+/// The paper's pipeline with a swappable clustering stage (Table IV):
+/// ingest -> `clusterer` -> `counter`'s classification stage. An empty
+/// ingest counts zero.
+std::size_t count_with(const crowd_counter& counter, const clusterer_fn& clusterer,
+                       const point_cloud& raw, rng& random);
+
+/// The paper's adaptive DBSCAN as a clustering stage for count_with.
+clusterer_fn adaptive_clusterer(const capture_config& config);
 
 /// Print a section header so bench output is self-describing.
 void print_header(const std::string& table_name, const std::string& description);

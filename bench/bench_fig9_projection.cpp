@@ -7,6 +7,7 @@
 // 7.3..75.6% MAE.
 
 #include "bench_common.hpp"
+#include "runtime/supervisor.hpp"
 
 using namespace hawc;
 using namespace hawc::bench;
@@ -34,9 +35,11 @@ int main() {
         model.train(ds.train, nullptr, r);
         const double accuracy = model.evaluate(ds.test, r).accuracy;
 
-        crowd_counter counter{crowd_cfg.capture, model};
+        frame_supervisor supervisor{without_deadlines({.capture = crowd_cfg.capture}), model};
         rng eval_rng{31};
-        const auto eval = counter.evaluate(crowd, eval_rng);
+        const auto eval = evaluate(crowd, eval_rng, [&](const point_cloud& raw, rng& random) {
+            return supervisor.process(raw, random).count;
+        });
 
         table.add_row({to_string(method), text_table::num(100.0 * accuracy),
                        text_table::num(eval.metrics.mae), text_table::num(eval.metrics.mse)});

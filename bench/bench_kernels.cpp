@@ -1,16 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
 // HAWC-CC pipeline: KD-tree queries (allocating and allocation-free),
-// DBSCAN, projection, conv2d forward in fp32 and int8, and the
-// end-to-end single-capture count. Kernels that fan out over the global
-// pool take the thread count as their benchmark argument.
+// DBSCAN, projection, and conv2d forward in fp32 and int8. Kernels that
+// fan out over the global pool take the thread count as their benchmark
+// argument.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
-#include "classifiers/hawc_model.hpp"
 #include "clustering/adaptive_eps.hpp"
 #include "common/thread_pool.hpp"
-#include "counting/crowd_counter.hpp"
 #include "features/height_features.hpp"
 #include "features/pipeline.hpp"
 #include "nn/conv2d.hpp"
@@ -169,35 +167,6 @@ void bm_qconv_forward(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_qconv_forward);
-
-void bm_e2e_count(benchmark::State& state) {
-    // End-to-end single-capture count on a ~8k-point crowd; range(0) is
-    // the pool size (clustering kernels + per-cluster classification fan
-    // out when the classifier is thread-safe).
-    set_global_thread_count(static_cast<std::size_t>(state.range(0)));
-    rng scene{42};
-    point_cloud cloud;
-    for (std::size_t p = 0; p < 100; ++p) {
-        const double cx = scene.uniform(13.0, 34.0);
-        const double cy = scene.uniform(-2.2, 2.2);
-        for (int i = 0; i < 64; ++i) {
-            cloud.push_back({cx + scene.normal(0.0, 0.12), cy + scene.normal(0.0, 0.12),
-                             -2.55 + scene.uniform(0.0, 1.7)});
-        }
-    }
-    rng init{1};
-    object_pool pool;
-    pool.add_cloud(benchmark_cloud(256));
-    hawc_model model{hawc_config{}, std::move(pool), init};  // untrained: same compute
-    const crowd_counter counter{capture_config{}, model};
-    rng r{2};
-    for (auto _ : state) {
-        const count_result res = counter.count(cloud, r);
-        benchmark::DoNotOptimize(res.count);
-    }
-    set_global_thread_count(1);
-}
-BENCHMARK(bm_e2e_count)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void bm_ingest(benchmark::State& state) {
     const point_cloud cloud = benchmark_cloud(20000);

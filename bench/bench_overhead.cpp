@@ -2,7 +2,8 @@
 // layers replay the same pre-captured frames, each adding one piece on
 // top of the layer before it:
 //
-//   0  bare crowd_counter: ingest -> adaptive clustering -> classify
+//   0  the bare paper pipeline: ingest -> adaptive DBSCAN -> the
+//      crowd_counter classification stage
 //   1  frame_supervisor: + sanitization, duplicate removal, plausibility
 //      checks, watchdog polls, health accounting and the metrics registry
 //   2  + a trace sink (one span tree per frame)
@@ -112,6 +113,7 @@ int main() {
     // in heap layout, which moved the per-layer estimates by up to
     // +-1.5 pp from one process to the next.
     const crowd_counter bare{capture, model};
+    const clusterer_fn adaptive = bench::adaptive_clusterer(capture);
     frame_supervisor supervised{sup_cfg, model};
     telemetry::trace_sink sink{16384};
 
@@ -161,7 +163,7 @@ int main() {
     std::array<timed_layer, 4> layers{{
         {"crowd_counter (bare)", 0.0,
          [&](point_cloud& delivered, rng& r, std::uint64_t) {
-             return bare.count(delivered, r).count;
+             return bench::count_with(bare, adaptive, delivered, r);
          }},
         {"frame_supervisor", 5.0, supervise(nullptr)},
         {"+ trace sink", 2.0, supervise(&sink)},

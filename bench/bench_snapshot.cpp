@@ -1,8 +1,7 @@
 // Perf snapshot for the parallel frame engine: times the hot kernels
 // (including the 225-point HAP projection and the deployed golden int8
-// net's forward), the end-to-end single-frame
-// count at several pool sizes, the fleet occupancy read path, the
-// observability event pipeline, and the corpus-container
+// net's forward) at several pool sizes, the fleet occupancy read path,
+// the observability event pipeline, and the corpus-container
 // codec/pack/stream-decode path, and emits one JSON document
 // (BENCH_PR15.json via scripts/bench_snapshot.sh). The
 // "baseline" block is the pre-engine measurement captured with the same
@@ -21,12 +20,10 @@
 #include <thread>
 #include <vector>
 
-#include "classifiers/hawc_model.hpp"
 #include "clustering/adaptive_eps.hpp"
 #include "clustering/dbscan.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
-#include "counting/crowd_counter.hpp"
 #include "features/height_features.hpp"
 #include "features/pipeline.hpp"
 #include "fleet/occupancy.hpp"
@@ -59,7 +56,6 @@ struct metrics {
     double qdense_us = 0.0;
     double hap_projection_us = 0.0;
     double qforward_golden_us = 0.0;
-    double e2e_count_8k_ms = 0.0;
 };
 
 // qdense was added to the harness in PR 4; its baseline is the serial
@@ -72,7 +68,7 @@ struct metrics {
 // just before the per-thread-workspace forward replaced it (the other
 // numbers are the seed revision's).
 constexpr metrics baseline{3.4294, 1.0028, 11.221, 22.669, 16.181, 80.693, 145.371,
-                           138.080, 49.350, 25.250, 66.232};
+                           138.080, 49.350, 25.250};
 
 /// Synthetic walkway crowd: upright person blobs inside the default ROI
 /// plus clutter, ~8000 points at the default arguments.
@@ -238,19 +234,6 @@ metrics measure() {
             (void)sink;
         });
     }
-
-    {
-        rng r{1};
-        object_pool pool;
-        pool.add_cloud(crowd_cloud(4, 64, 9));
-        hawc_model model{hawc_config{}, std::move(pool), r};  // untrained: same compute
-        const crowd_counter counter{capture_config{}, model};
-        rng cr{2};
-        m.e2e_count_8k_ms = time_ms(3, [&] {
-            volatile std::size_t sink = counter.count(cloud, cr).count;
-            (void)sink;
-        });
-    }
     return m;
 }
 
@@ -264,8 +247,7 @@ void print_metrics(const char* indent, const metrics& m) {
     std::printf("%s\"qconv_18x18_7to16_us\": %.3f,\n", indent, m.qconv_us);
     std::printf("%s\"qdense_b8_512to98to2_us\": %.3f,\n", indent, m.qdense_us);
     std::printf("%s\"hap_projection_225_us\": %.3f,\n", indent, m.hap_projection_us);
-    std::printf("%s\"qforward_golden_us\": %.3f,\n", indent, m.qforward_golden_us);
-    std::printf("%s\"e2e_count_8k_ms\": %.3f\n", indent, m.e2e_count_8k_ms);
+    std::printf("%s\"qforward_golden_us\": %.3f\n", indent, m.qforward_golden_us);
 }
 
 // Fleet occupancy read path: how fast the seqlock board absorbs
@@ -614,9 +596,8 @@ int main(int argc, char** argv) {
     std::printf("    \"qdense\": %.2f,\n", baseline.qdense_us / single.qdense_us);
     std::printf("    \"hap_projection_225\": %.2f,\n",
                 baseline.hap_projection_us / single.hap_projection_us);
-    std::printf("    \"qforward_golden\": %.2f,\n",
+    std::printf("    \"qforward_golden\": %.2f\n",
                 baseline.qforward_golden_us / single.qforward_golden_us);
-    std::printf("    \"e2e_count_8k\": %.2f\n", baseline.e2e_count_8k_ms / single.e2e_count_8k_ms);
     std::printf("  }\n");
     std::printf("}\n");
     return 0;

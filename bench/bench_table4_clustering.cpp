@@ -23,9 +23,8 @@ int main() {
 
     text_table table{{"Method", "MAE", "MSE"}};
 
-    auto evaluate_with = [&](const std::string& name, clusterer_fn clusterer) {
+    auto evaluate_with = [&](const std::string& name, const clusterer_fn& clusterer) {
         crowd_counter counter{crowd_cfg.capture, model};
-        if (clusterer) counter.set_clusterer(std::move(clusterer));
         // Isolate the clustering stage: the merged-cluster splitter (a
         // repo extension, DESIGN.md §6) compensates for clustering
         // mistakes and would mask exactly the differences this ablation
@@ -35,7 +34,9 @@ int main() {
         counter.set_multiplicity(no_split);
         rng eval_rng{31};
         std::cerr << "[bench] evaluating " << name << "...\n";
-        const auto eval = counter.evaluate(crowd, eval_rng);
+        const auto eval = evaluate(crowd, eval_rng, [&](const point_cloud& raw, rng& random) {
+            return count_with(counter, clusterer, raw, random);
+        });
         table.add_row({name, text_table::num(eval.metrics.mae),
                        text_table::num(eval.metrics.mse)});
         return eval.metrics;
@@ -47,7 +48,7 @@ int main() {
     }
     evaluate_with("Hierarchical (complete, cut 0.8)",
                   make_hierarchical_clusterer(0.8, crowd_cfg.capture));
-    evaluate_with("Adaptive (ours)", {});
+    evaluate_with("Adaptive (ours)", adaptive_clusterer(crowd_cfg.capture));
 
     table.print(std::cout);
     print_paper_note(

@@ -6,6 +6,7 @@
 // 0.43/0.78 fp32, 0.73/1.57 int8, 46.98 ms; OC-SVM-CC 2.84/5.55 fp32.
 
 #include "bench_common.hpp"
+#include "runtime/supervisor.hpp"
 
 using namespace hawc;
 using namespace hawc::bench;
@@ -32,10 +33,14 @@ int main() {
     const auto crowd = standard_crowd_dataset();
     std::vector<row> rows;
 
+    // The production frame path, with its wall-clock deadlines off so a
+    // slow host cannot change a count.
     auto run_pipeline = [&](const human_classifier& classifier) {
-        crowd_counter counter{crowd_cfg.capture, classifier};
+        frame_supervisor supervisor{without_deadlines({.capture = crowd_cfg.capture}), classifier};
         rng eval_rng{31};
-        return counter.evaluate(crowd, eval_rng);
+        return evaluate(crowd, eval_rng, [&](const point_cloud& raw, rng& random) {
+            return supervisor.process(raw, random).count;
+        });
     };
 
     // ---- OC-SVM-CC (fp32 only) ----

@@ -8,6 +8,7 @@
 
 #include "bench_common.hpp"
 #include "common/stats.hpp"
+#include "runtime/supervisor.hpp"
 
 using namespace hawc;
 using namespace hawc::bench;
@@ -35,7 +36,7 @@ int main() {
     count_cfg.roi.x_max_m = 42.0;
     count_cfg.roi.y_min_m = -10.0;
     count_cfg.roi.y_max_m = 10.0;
-    const crowd_counter counter{count_cfg, model};
+    frame_supervisor supervisor{without_deadlines({.capture = count_cfg}), model};
 
     const std::size_t runs = scaled(3, 2);
     const std::size_t samples_per_run = scaled(10, 4);
@@ -58,7 +59,7 @@ int main() {
                 cfg.pedestrians = people;
                 const density_scene scene =
                     build_density_scene(cfg, humans, objects, run_rng);
-                const auto result = counter.count(scene.cloud, run_rng);
+                const frame_report result = supervisor.process(scene.cloud, run_rng);
                 acc.add(static_cast<double>(result.count),
                         static_cast<double>(scene.ground_truth));
 

@@ -10,7 +10,7 @@
 
 #include "classifiers/hawc_model.hpp"
 #include "common/stats.hpp"
-#include "counting/crowd_counter.hpp"
+#include "runtime/supervisor.hpp"
 #include "sim/trajectory.hpp"
 
 using namespace hawc;
@@ -39,7 +39,7 @@ int main() {
     capture_config capture_cfg;
     capture_cfg.min_cluster_points = 20;
     const scanner sensor{capture_cfg.sensor};
-    const crowd_counter counter{capture_cfg, model};
+    frame_supervisor supervisor{without_deadlines({.capture = capture_cfg}), model};
 
     rng traffic_rng{2025};
     const traffic_schedule calm{traffic_rng, 600.0, /*arrivals_per_minute=*/6.0};
@@ -70,7 +70,7 @@ int main() {
         const scan_result scan_data =
             sensor.scan(frame.primitives(), traffic_rng, capture_cfg.scan);
         const std::size_t visible = visible_human_count(frame, scan_data, capture_cfg);
-        const count_result result = counter.count(scan_data.to_cloud(), traffic_rng);
+        const frame_report result = supervisor.process(scan_data.to_cloud(), traffic_rng);
 
         count_error.add(static_cast<double>(result.count) - static_cast<double>(visible));
         load_histogram.add(static_cast<double>(result.count));

@@ -80,10 +80,7 @@ int main(int argc, char** argv) {
         p.pole_id += std::to_string(i);
         p.seed = 7000 + i;
         p.primary = &classifier;
-        p.supervisor.eps_selection_deadline_ms = 0.0;
-        p.supervisor.classification_deadline_ms = 0.0;
-        p.supervisor.frame_deadline_ms = 0.0;
-        p.supervisor.max_stale_frames = 2;
+        p.supervisor = without_deadlines({.max_stale_frames = 2});
         p.watchdog.max_consecutive_dropped = 3;
         p.watchdog.backoff_base_ticks = 4;
         p.watchdog.backoff_cap_ticks = 16;

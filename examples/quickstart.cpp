@@ -10,8 +10,7 @@
 #include <iostream>
 
 #include "classifiers/hawc_model.hpp"
-#include "common/timer.hpp"
-#include "counting/crowd_counter.hpp"
+#include "runtime/supervisor.hpp"
 
 using namespace hawc;
 
@@ -56,14 +55,14 @@ int main(int argc, char** argv) {
     const std::size_t visible =
         visible_human_count(walkway_scene, scan_data, capture_cfg);
 
-    const crowd_counter counter{capture_cfg, model};
-    const stopwatch sw;
-    const count_result result = counter.count(scan_data.to_cloud(), scene_rng);
-    const double count_ms = sw.elapsed_ms();
+    // The production frame path; its wall-clock deadlines are off so a
+    // slow host cannot change the count.
+    frame_supervisor supervisor{without_deadlines({.capture = capture_cfg}), model};
+    const frame_report result = supervisor.process(scan_data.to_cloud(), scene_rng);
 
     std::cout << "  scene contains " << walkway_scene.human_count() << " people ("
               << visible << " visible to the sensor)\n";
-    std::cout << "  " << counter.name() << " counted " << result.count << " in "
-              << count_ms << " ms (" << result.cluster_count << " clusters examined)\n";
+    std::cout << "  " << supervisor.counter().name() << " counted " << result.count << " in "
+              << result.frame_ms << " ms (" << result.cluster_count << " clusters examined)\n";
     return 0;
 }

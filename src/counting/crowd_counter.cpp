@@ -7,10 +7,7 @@
 #include "clustering/dbscan.hpp"
 #include "clustering/kmeans.hpp"
 #include "clustering/hierarchical.hpp"
-#include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "common/timer.hpp"
-#include "preprocess/ingest.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace hawc {
@@ -53,25 +50,6 @@ std::size_t estimate_multiplicity(const point_cloud& cluster, const multiplicity
     const auto people =
         static_cast<std::size_t>(std::lround(area / config.person_footprint_m2));
     return std::clamp<std::size_t>(people, 1, config.max_per_cluster);
-}
-
-count_result crowd_counter::count(const point_cloud& raw, rng& random) const {
-    count_result result;
-    const point_cloud ingested = ingest(raw, config_.roi, config_.ground);
-    if (ingested.empty()) return result;
-
-    std::vector<point_cloud> clusters;
-    if (clusterer_) {
-        clusters = clusterer_(ingested);
-    } else {
-        clusters = adaptive_dbscan(ingested, config_.clustering)
-                       .clusters.extract_clusters(ingested);
-    }
-
-    const cluster_count_result counted = count_clusters(clusters, random);
-    result.count = counted.count;
-    result.cluster_count = counted.examined;
-    return result;
 }
 
 std::size_t crowd_counter::count_one(const point_cloud& cluster, rng& random) const {
@@ -169,23 +147,6 @@ cluster_count_result crowd_counter::count_clusters(std::span<const point_cloud> 
     }
     publish_cluster_metrics(telem, result);
     return result;
-}
-
-crowd_counter::evaluation crowd_counter::evaluate(std::span<const crowd_sample> samples,
-                                                  rng& random) const {
-    HAWC_REQUIRE(!samples.empty(), "cannot evaluate on an empty dataset");
-    counting_accumulator acc;
-    latency_recorder latency;
-    for (const auto& sample : samples) {
-        count_result r;
-        latency.measure([&] { r = count(sample.raw, random); });
-        acc.add(static_cast<double>(r.count), static_cast<double>(sample.ground_truth));
-    }
-    evaluation e;
-    e.metrics = acc.metrics();
-    e.mean_latency_ms = latency.mean_ms();
-    e.stddev_latency_ms = latency.stddev_ms();
-    return e;
 }
 
 clusterer_fn make_fixed_eps_clusterer(double eps, const capture_config& config) {

@@ -1,10 +1,13 @@
 #pragma once
 
-// The end-to-end crowd counting pipeline (paper Figure 3): ingest ->
-// cluster -> classify each cluster -> count the "Human" clusters.
-// Generic over the classifier (HAWC-CC / PointNet-CC / AutoEncoder-CC /
-// OC-SVM-CC, fp32 or int8) and over the clustering stage (adaptive
-// DBSCAN by default; Table IV swaps in fixed-eps or hierarchical).
+// The classification stage of the crowd counting pipeline (paper Figure
+// 3): size-filter the clusters, split merged ones, classify each and
+// count the "Human" ones. Generic over the classifier (HAWC-CC /
+// PointNet-CC / AutoEncoder-CC / OC-SVM-CC, fp32 or int8). The whole
+// per-frame pipeline (ingest -> adaptive DBSCAN -> this stage) is
+// frame_supervisor::process (runtime/supervisor.hpp); Table IV's
+// alternative clustering stages compose ingest -> clusterer_fn ->
+// count_clusters from the public calls.
 
 #include <functional>
 
@@ -16,7 +19,7 @@
 
 namespace hawc {
 
-/// Pluggable clustering stage: cloud (post-ingest) -> clusters.
+/// Alternative clustering stage (Table IV): ingested cloud -> clusters.
 using clusterer_fn = std::function<std::vector<point_cloud>(const point_cloud&)>;
 
 /// Merged-cluster handling. In dense crowds DBSCAN can merge adjacent
@@ -41,12 +44,7 @@ struct multiplicity_config {
 /// Estimated person capacity of an oversized cluster's footprint.
 std::size_t estimate_multiplicity(const point_cloud& cluster, const multiplicity_config& config);
 
-struct count_result {
-    std::size_t count = 0;           // clusters classified human
-    std::size_t cluster_count = 0;   // clusters examined
-};
-
-/// Result of the classification half of the pipeline alone.
+/// Result of the classification stage.
 struct cluster_count_result {
     std::size_t count = 0;     // clusters (or sub-clusters) classified human
     std::size_t examined = 0;  // clusters meeting the minimum size
@@ -55,27 +53,17 @@ struct cluster_count_result {
 
 class crowd_counter {
 public:
-    /// `classifier` must outlive the counter. The default clustering
-    /// stage is the paper's adaptive DBSCAN.
+    /// `classifier` must outlive the counter.
     crowd_counter(const capture_config& config, const human_classifier& classifier);
-
-    /// Replace the clustering stage (Table IV ablations). The function
-    /// receives the ingested cloud and must return the final clusters
-    /// (minimum-size filtering is applied by the counter afterwards).
-    void set_clusterer(clusterer_fn clusterer) { clusterer_ = std::move(clusterer); }
 
     /// Adjust or disable merged-cluster multiplicity estimation.
     void set_multiplicity(const multiplicity_config& config) { multiplicity_ = config; }
     const multiplicity_config& multiplicity() const { return multiplicity_; }
 
-    /// Count people in one raw capture.
-    count_result count(const point_cloud& raw, rng& random) const;
-
-    /// Classification half of count(): size-filter, multiplicity-split and
-    /// classify pre-built clusters. Used by count() and by the streaming
-    /// runtime's frame supervisor, which clusters under its own fallback
-    /// policy. When `time_budget` is armed and expires, the remaining
-    /// clusters are skipped and the result is flagged truncated.
+    /// Size-filter, multiplicity-split and classify pre-built clusters.
+    /// The frame supervisor calls this after clustering under its own
+    /// fallback policy. When `time_budget` is armed and expires, the
+    /// remaining clusters are skipped and the result is flagged truncated.
     ///
     /// When the classifier reports thread_safe(), clusters fan out across
     /// the global pool, each on its own forked rng stream; the streams
@@ -90,15 +78,6 @@ public:
                                         const deadline& time_budget = {},
                                         const telemetry_handle& telem = {}) const;
 
-    /// Evaluate over a crowd dataset; collects MAE/MSE and the latency
-    /// of each whole count() call.
-    struct evaluation {
-        counting_metrics metrics;
-        double mean_latency_ms = 0.0;
-        double stddev_latency_ms = 0.0;
-    };
-    evaluation evaluate(std::span<const crowd_sample> samples, rng& random) const;
-
     const capture_config& config() const { return config_; }
     std::string name() const { return classifier_->name() + "-CC"; }
 
@@ -109,7 +88,6 @@ private:
 
     capture_config config_;
     const human_classifier* classifier_;
-    clusterer_fn clusterer_;  // empty = adaptive DBSCAN from config_
     multiplicity_config multiplicity_{};
 };
 

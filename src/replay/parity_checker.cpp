@@ -7,8 +7,10 @@
 #include <optional>
 #include <sstream>
 
+#include "clustering/adaptive_eps.hpp"
 #include "common/thread_pool.hpp"
 #include "dataset/capture_pipeline.hpp"
+#include "preprocess/ingest.hpp"
 #include "replay/replay_driver.hpp"
 
 namespace hawc::replay {
@@ -28,15 +30,6 @@ const char* status_name(frame_status s) {
 /// the very same value, not merely nearby ones.
 bool bits_equal(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-/// Parity replays must be wall-clock-free: a deadline firing on one side
-/// but not the other would read as divergence.
-supervisor_config without_deadlines(supervisor_config config) {
-    config.eps_selection_deadline_ms = 0.0;
-    config.classification_deadline_ms = 0.0;
-    config.frame_deadline_ms = 0.0;
-    return config;
 }
 
 /// The per-frame outcome fields a deterministic pair must reproduce
@@ -304,22 +297,27 @@ parity_report check_ladder_divergence(const frame_corpus& corpus, const capture_
     report.frames = corpus.size();
     report.comparisons = corpus.size();
 
-    const crowd_counter adaptive{config, classifier};
-    crowd_counter fixed{config, classifier};
-    fixed.set_clusterer(make_fixed_eps_clusterer(fixed_eps, config));
-
+    // Both sides share the ingested cloud and the classification stage;
+    // only the clustering stage differs. An empty ingest counts zero on
+    // both sides.
+    const crowd_counter counter{config, classifier};
+    const clusterer_fn fixed = make_fixed_eps_clusterer(fixed_eps, config);
     for (std::size_t i = 0; i < corpus.size(); ++i) {
+        const point_cloud ingested = ingest(corpus.frames[i].cloud, config.roi, config.ground);
+        if (ingested.empty()) continue;
         rng adaptive_rng{frame_seed(corpus.base_seed, i)};
         rng fixed_rng{frame_seed(corpus.base_seed, i)};
-        const count_result a = adaptive.count(corpus.frames[i].cloud, adaptive_rng);
-        const count_result f = fixed.count(corpus.frames[i].cloud, fixed_rng);
-        const std::size_t delta = a.count > f.count ? a.count - f.count : f.count - a.count;
+        const std::vector<point_cloud> adaptive =
+            adaptive_dbscan(ingested, config.clustering).clusters.extract_clusters(ingested);
+        const std::size_t a = counter.count_clusters(adaptive, adaptive_rng).count;
+        const std::size_t f = counter.count_clusters(fixed(ingested), fixed_rng).count;
+        const std::size_t delta = a > f ? a - f : f - a;
         if (delta > parity.ladder_max_count_delta) {
             report.divergences.push_back(
                 {i, "ladder",
-                 "adaptive count " + std::to_string(a.count) + " vs fixed-eps " +
-                     std::to_string(f.count) + " (delta " + std::to_string(delta) +
-                     " > budget " + std::to_string(parity.ladder_max_count_delta) + ")"});
+                 "adaptive count " + std::to_string(a) + " vs fixed-eps " + std::to_string(f) +
+                     " (delta " + std::to_string(delta) + " > budget " +
+                     std::to_string(parity.ladder_max_count_delta) + ")"});
         }
     }
     publish(metrics, report);

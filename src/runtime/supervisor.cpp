@@ -30,6 +30,13 @@ std::string resilient_classifier::name() const {
     return n;
 }
 
+supervisor_config without_deadlines(supervisor_config config) {
+    config.eps_selection_deadline_ms = 0.0;
+    config.classification_deadline_ms = 0.0;
+    config.frame_deadline_ms = 0.0;
+    return config;
+}
+
 frame_supervisor::frame_supervisor(const supervisor_config& config,
                                    const human_classifier& primary,
                                    const human_classifier* fallback)
@@ -163,6 +170,19 @@ point_cloud dedupe(const point_cloud& cloud) {
     return point_cloud{std::move(points)};
 }
 
+/// One stage's histogram sample for one frame, recorded when the frame's
+/// stages end: the stage's latency, or 0 for a stage the frame never
+/// reached (an early return or an exception).
+struct stage_sample {
+    explicit stage_sample(telemetry::latency_histogram* h) : histogram{h} {}
+    stage_sample(const stage_sample&) = delete;
+    stage_sample& operator=(const stage_sample&) = delete;
+    ~stage_sample() { histogram->record(ms); }
+
+    telemetry::latency_histogram* histogram;
+    double ms = 0.0;
+};
+
 }  // namespace
 
 void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
@@ -171,6 +191,9 @@ void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
     // All stage spans nest under the frame span; stage functions called
     // below parent their own spans the same way via telem.under().
     const telemetry_handle telem{&metrics_, &tracer_, frame_span};
+    stage_sample ingest_ms{rc_.ingest_ms};
+    stage_sample clustering_ms{rc_.clustering_ms};
+    stage_sample classification_ms{rc_.classification_ms};
     stopwatch sw;
 
     // ---- Ingest with fused capture validation ----
@@ -210,7 +233,7 @@ void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
                                    std::to_string(clean_size) + " raw points < " +
                                        std::to_string(config_.min_raw_points)});
         report.status = frame_status::dropped;
-        report.times.ingest_ms = sw.elapsed_ms();
+        ingest_ms.ms = sw.elapsed_ms();
         return;
     }
     if (config_.dedupe_points && !ingested.empty()) {
@@ -228,7 +251,7 @@ void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
         }
     }
     ingest_span.finish();
-    report.times.ingest_ms = sw.elapsed_ms();
+    ingest_ms.ms = sw.elapsed_ms();
 
     // A near-empty walkway is a legitimate zero, not a degradation.
     const std::size_t cluster_floor = std::max(config_.capture.min_cluster_points,
@@ -273,7 +296,7 @@ void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
     const std::vector<point_cloud> clusters =
         dbscan_scaled(scaled, tree, report.chosen_eps, ccfg.min_points, telem)
             .extract_clusters(ingested);
-    report.times.clustering_ms = sw.elapsed_ms();
+    clustering_ms.ms = sw.elapsed_ms();
     if (use_fixed) {
         report.used_fixed_eps = true;
         rc_.fixed_eps_fallbacks->add(1);
@@ -296,7 +319,7 @@ void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
     const cluster_count_result counted =
         counter_.count_clusters(clusters, random, budget, telem.under(classify_span.id()));
     classify_span.finish();
-    report.times.classification_ms = sw.elapsed_ms();
+    classification_ms.ms = sw.elapsed_ms();
     report.count = counted.count;
     report.cluster_count = counted.examined;
     if (counted.truncated) {
@@ -392,9 +415,6 @@ frame_report frame_supervisor::process(const point_cloud& raw, rng& random) {
         case frame_status::degraded: rc_.frames_degraded->add(1); break;
         case frame_status::dropped: rc_.frames_dropped->add(1); break;
     }
-    rc_.ingest_ms->record(report.times.ingest_ms);
-    rc_.clustering_ms->record(report.times.clustering_ms);
-    rc_.classification_ms->record(report.times.classification_ms);
     rc_.frame_ms->record(report.frame_ms);
 
     // The frame span closes last, carrying the terminal status so trace

@@ -100,6 +100,12 @@ struct supervisor_config {
     std::size_t recovery_streak_frames = 1;
 };
 
+/// `config` with the three watchdog deadlines off, for every run whose
+/// result a wall clock must not change: parity replays (a deadline firing
+/// on one side only would read as divergence), the paper's accuracy
+/// benches and the deterministic examples and tests.
+supervisor_config without_deadlines(supervisor_config config);
+
 /// The stale-count rung's carry-forward state: everything process()
 /// consults from previous frames when deciding a frame's count and
 /// status. A fresh supervisor with this state restored reproduces a
@@ -114,14 +120,6 @@ struct supervisor_carry {
     bool operator==(const supervisor_carry&) const = default;
 };
 
-/// One frame's stage latencies in milliseconds. process() records each
-/// into its registry histogram; a stage the frame never reached stays 0.
-struct stage_times {
-    double ingest_ms = 0.0;
-    double clustering_ms = 0.0;
-    double classification_ms = 0.0;
-};
-
 /// Outcome of one supervised frame.
 struct frame_report {
     frame_status status = frame_status::ok;
@@ -133,7 +131,6 @@ struct frame_report {
     bool served_stale = false;
     double chosen_eps = 0.0;  // the eps DBSCAN actually ran with
 
-    stage_times times;     // ingest / clustering / classification
     double frame_ms = 0.0;  // wall-clock for the whole frame
 
     std::vector<failure_event> failures;

@@ -105,13 +105,7 @@ public:
     std::string name() const override { return "ExtentGate"; }
 };
 
-supervisor_config det_config() {
-    supervisor_config cfg;
-    cfg.eps_selection_deadline_ms = 0.0;
-    cfg.classification_deadline_ms = 0.0;
-    cfg.frame_deadline_ms = 0.0;
-    return cfg;
-}
+supervisor_config det_config() { return without_deadlines({}); }
 
 // ---- codec: identity -----------------------------------------------------
 

@@ -1,10 +1,15 @@
 // Tests for the crowd-counting pipeline and its metrics, using mock
 // classifiers so the pipeline mechanics are isolated from model quality.
+// Raw captures are counted through frame_supervisor, the one frame
+// pipeline; Table IV's clusterer factories are tested directly.
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
-#include "counting/crowd_counter.hpp"
+#include <algorithm>
+
+#include "clustering/adaptive_eps.hpp"
+#include "preprocess/ingest.hpp"
+#include "runtime/supervisor.hpp"
 
 namespace hawc {
 namespace {
@@ -75,13 +80,23 @@ crowd_sample make_sample(std::size_t people, std::uint64_t seed) {
     return sample;
 }
 
+/// Clusters of the ingested `raw` that reach the counter's minimum size.
+std::size_t sized_clusters(const clusterer_fn& clusterer, const point_cloud& raw,
+                           const capture_config& cfg) {
+    const auto clusters = clusterer(ingest(raw, cfg.roi, cfg.ground));
+    return static_cast<std::size_t>(
+        std::count_if(clusters.begin(), clusters.end(), [&](const point_cloud& c) {
+            return c.size() >= cfg.min_cluster_points;
+        }));
+}
+
 TEST(crowd_counter_test, never_human_counts_zero) {
     const capture_config cfg;
     constant_classifier never{false};
-    const crowd_counter counter{cfg, never};
+    frame_supervisor supervisor{without_deadlines({.capture = cfg}), never};
     rng r{1};
     const auto sample = make_sample(3, 11);
-    const count_result result = counter.count(sample.raw, r);
+    const frame_report result = supervisor.process(sample.raw, r);
     EXPECT_EQ(result.count, 0u);
     EXPECT_GT(result.cluster_count, 0u);
 }
@@ -89,22 +104,22 @@ TEST(crowd_counter_test, never_human_counts_zero) {
 TEST(crowd_counter_test, always_human_counts_all_clusters) {
     const capture_config cfg;
     constant_classifier always{true};
-    const crowd_counter counter{cfg, always};
+    frame_supervisor supervisor{without_deadlines({.capture = cfg}), always};
     rng r{2};
     const auto sample = make_sample(3, 12);
-    const count_result result = counter.count(sample.raw, r);
+    const frame_report result = supervisor.process(sample.raw, r);
     EXPECT_EQ(result.count, result.cluster_count);
 }
 
 TEST(crowd_counter_test, height_rule_tracks_ground_truth) {
     const capture_config cfg;
     height_classifier rule;
-    const crowd_counter counter{cfg, rule};
+    frame_supervisor supervisor{without_deadlines({.capture = cfg}), rule};
     rng r{3};
     counting_accumulator acc;
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
         const auto sample = make_sample(seed % 5, 100 + seed);
-        const auto result = counter.count(sample.raw, r);
+        const frame_report result = supervisor.process(sample.raw, r);
         acc.add(static_cast<double>(result.count),
                 static_cast<double>(sample.ground_truth));
     }
@@ -114,24 +129,11 @@ TEST(crowd_counter_test, height_rule_tracks_ground_truth) {
 TEST(crowd_counter_test, empty_capture_counts_zero) {
     const capture_config cfg;
     constant_classifier always{true};
-    const crowd_counter counter{cfg, always};
+    frame_supervisor supervisor{without_deadlines({.capture = cfg}), always};
     rng r{4};
-    const count_result result = counter.count(point_cloud{}, r);
+    const frame_report result = supervisor.process(point_cloud{}, r);
     EXPECT_EQ(result.count, 0u);
     EXPECT_EQ(result.cluster_count, 0u);
-}
-
-TEST(crowd_counter_test, evaluate_aggregates) {
-    const capture_config cfg;
-    height_classifier rule;
-    const crowd_counter counter{cfg, rule};
-    std::vector<crowd_sample> samples;
-    for (std::uint64_t seed = 0; seed < 5; ++seed) samples.push_back(make_sample(2, 40 + seed));
-    rng r{6};
-    const auto eval = counter.evaluate(samples, r);
-    EXPECT_EQ(eval.metrics.samples, 5u);
-    EXPECT_GT(eval.mean_latency_ms, 0.0);
-    EXPECT_THROW(counter.evaluate({}, r), invalid_argument_error);
 }
 
 TEST(crowd_counter_test, name_appends_cc) {
@@ -143,45 +145,32 @@ TEST(crowd_counter_test, name_appends_cc) {
 
 TEST(crowd_counter_test, fixed_eps_clusterer_plugs_in) {
     const capture_config cfg;
-    constant_classifier always{true};
-    crowd_counter counter{cfg, always};
-    counter.set_clusterer(make_fixed_eps_clusterer(0.3, cfg));
-    rng r{7};
     const auto sample = make_sample(3, 31);
-    const count_result result = counter.count(sample.raw, r);
-    EXPECT_GT(result.cluster_count, 0u);
+    EXPECT_GT(sized_clusters(make_fixed_eps_clusterer(0.3, cfg), sample.raw, cfg), 0u);
 }
 
 TEST(crowd_counter_test, hierarchical_clusterer_overcounts) {
     // The paper's observation: a diameter-capped hierarchical cut
     // fragments targets and overcounts relative to adaptive DBSCAN.
     const capture_config cfg;
-    constant_classifier always{true};
-    crowd_counter adaptive{cfg, always};
-    crowd_counter hierarchical{cfg, always};
-    hierarchical.set_clusterer(make_hierarchical_clusterer(0.4, cfg));
-    rng r{8};
     const auto sample = make_sample(4, 55);
-    const auto a = adaptive.count(sample.raw, r);
-    const auto h = hierarchical.count(sample.raw, r);
-    EXPECT_GE(h.cluster_count, a.cluster_count);
+    const clusterer_fn adaptive = [&cfg](const point_cloud& cloud) {
+        return adaptive_dbscan(cloud, cfg.clustering).clusters.extract_clusters(cloud);
+    };
+    EXPECT_GE(sized_clusters(make_hierarchical_clusterer(0.4, cfg), sample.raw, cfg),
+              sized_clusters(adaptive, sample.raw, cfg));
 }
 
 TEST(crowd_counter_test, hierarchical_clusterer_subsamples_large_clouds) {
     const capture_config cfg;
-    constant_classifier always{true};
-    crowd_counter counter{cfg, always};
-    counter.set_clusterer(make_hierarchical_clusterer(0.4, cfg));
-    // Build an oversized cloud (> max_points) inside the ROI.
+    // An oversized cloud (> max_points): the O(n^2) guard must subsample.
     point_cloud big;
     rng r{9};
     for (int i = 0; i < 9000; ++i) {
         big.push_back({r.uniform(12.0, 35.0), r.uniform(-2.5, 2.5), r.uniform(-2.0, -0.5)});
     }
-    const count_result result = counter.count(big, r);  // must not throw
-    EXPECT_GE(result.cluster_count, 0u);
+    EXPECT_NO_THROW(make_hierarchical_clusterer(0.4, cfg)(big));
 }
-
 
 TEST(multiplicity, single_person_cluster_counts_one) {
     rng r{20};

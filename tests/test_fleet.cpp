@@ -58,13 +58,7 @@ point_cloud synth_frame(rng& r, std::size_t people) {
 
 // Supervisor config for virtual-time tests: wall-clock watchdogs off so
 // results are bit-exact on any machine, any load.
-supervisor_config det_config() {
-    supervisor_config cfg;
-    cfg.eps_selection_deadline_ms = 0.0;
-    cfg.classification_deadline_ms = 0.0;
-    cfg.frame_deadline_ms = 0.0;
-    return cfg;
-}
+supervisor_config det_config() { return without_deadlines({}); }
 
 // An in-memory corpus whose frames come from synth_frame — cheap enough
 // for soaks, deterministic from base_seed alone.

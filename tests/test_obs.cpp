@@ -65,13 +65,7 @@ point_cloud synth_frame(rng& r, std::size_t people) {
     return cloud;
 }
 
-supervisor_config det_config() {
-    supervisor_config cfg;
-    cfg.eps_selection_deadline_ms = 0.0;
-    cfg.classification_deadline_ms = 0.0;
-    cfg.frame_deadline_ms = 0.0;
-    return cfg;
-}
+supervisor_config det_config() { return without_deadlines({}); }
 
 // Frames pre-rounded to the recorded float32 precision: the flight
 // recorder's bit-exactness contract (like the PR4 corpus one) holds when

@@ -14,8 +14,8 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "classifiers/quantized_classifier.hpp"
 #include "common/thread_pool.hpp"
-#include "counting/crowd_counter.hpp"
 #include "features/pipeline.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
@@ -409,11 +409,7 @@ TEST(model_io, object_pool_round_trips_bit_exactly) {
 TEST(replay, deterministic_across_runs) {
     const frame_corpus corpus = record_corpus(test_record());
     const size_threshold_classifier classifier{10};
-    supervisor_config config;
-    config.capture = test_capture();
-    config.eps_selection_deadline_ms = 0;
-    config.classification_deadline_ms = 0;
-    config.frame_deadline_ms = 0;
+    const supervisor_config config = without_deadlines({.capture = test_capture()});
 
     frame_supervisor a{config, classifier};
     frame_supervisor b{config, classifier};
@@ -426,57 +422,6 @@ TEST(replay, deterministic_across_runs) {
         EXPECT_EQ(ra.reports[i].chosen_eps, rb.reports[i].chosen_eps);
     }
     EXPECT_EQ(ra.frames_ok + ra.frames_degraded + ra.frames_dropped, corpus.size());
-}
-
-/// Classifier whose answer is a draw from the rng it is handed, weighted
-/// by cluster size (human with probability min(1, points / 60)). Handing
-/// a cluster another cluster's rng stream changes the count, so the test
-/// below sees any reordering of clusters or streams.
-class coin_flip_classifier final : public human_classifier {
-public:
-    bool is_human(const point_cloud& cluster, rng& random) const override {
-        return random.uniform() * 60.0 < static_cast<double>(cluster.size());
-    }
-    std::string name() const override { return "coin-flip"; }
-    bool thread_safe() const override { return true; }
-};
-
-// The paper path (crowd_counter::count) and the production path
-// (frame_supervisor::process) agree frame for frame once the supervisor's
-// extra work is switched off: no dedupe, no deadlines. Frames that fell
-// to the fixed-eps rung are skipped — the counter has no such rung. With
-// dedupe on, 2 of these 8 frames differ: dedupe sorts the points, which
-// reorders the clusters and so the per-cluster rng streams (DESIGN.md §7).
-TEST(replay, paper_path_matches_supervisor_without_dedupe) {
-    record_config record = test_record(/*seed=*/2024, /*frames=*/8);
-    record.max_people = 6;
-    record.capture.sensor.channels = 24;  // the golden corpora's geometry
-    record.capture.sensor.azimuth_steps = 720;
-    record.capture.min_cluster_points = 10;
-    const frame_corpus corpus = record_corpus(record);
-
-    const coin_flip_classifier classifier;
-    const crowd_counter counter{record.capture, classifier};
-    supervisor_config config;
-    config.capture = record.capture;
-    config.dedupe_points = false;
-    config.eps_selection_deadline_ms = 0;
-    config.classification_deadline_ms = 0;
-    config.frame_deadline_ms = 0;
-    frame_supervisor supervisor{config, classifier};
-
-    std::size_t compared = 0;
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        rng paper_rng{frame_seed(corpus.base_seed, i)};
-        rng production_rng{frame_seed(corpus.base_seed, i)};
-        const count_result paper = counter.count(corpus.frames[i].cloud, paper_rng);
-        const frame_report production =
-            supervisor.process(corpus.frames[i].cloud, production_rng);
-        if (production.used_fixed_eps) continue;
-        ++compared;
-        EXPECT_EQ(paper.count, production.count) << "frame " << i;
-    }
-    EXPECT_GE(compared, corpus.size() / 2) << "too few frames took the adaptive path";
 }
 
 TEST(parity, identical_pair_has_zero_divergences) {
@@ -654,6 +599,47 @@ TEST(replay, golden_int8_logit_digest_is_pinned) {
         fnv1a64(logit_hashes.data(), logit_hashes.size() * sizeof(std::uint64_t));
     EXPECT_EQ(logit_hashes.size(), 43u);
     EXPECT_EQ(digest, 0xdc2909cf3142a4e0ULL) << std::hex << "digest 0x" << digest;
+}
+
+// Pins what the production path answers on every golden frame: count,
+// cluster count, status and the bits of the eps DBSCAN ran with, through
+// a default frame_supervisor (the golden int8 model, dedupe on) with its
+// wall-clock deadlines off. Every raw-frame count in the repo goes
+// through this path, so a refactor of it must leave this digest alone.
+TEST(replay, golden_supervisor_digest_is_pinned) {
+    const std::filesystem::path dir{HAWC_GOLDEN_DIR};
+    cnn_feature_config features;
+    features.upsample.target_points = 225;
+    features.projection.target_points = 225;
+    const cnn_feature_extractor extractor{features,
+                                          load_object_pool_file(dir / "object.pool")};
+    const quantized_classifier int8{load_quantized_file(dir / "hawc_int8.qmodel"),
+                                    [&extractor](const point_cloud& c, rng& r) {
+                                        return extractor.extract(c, r);
+                                    },
+                                    "HAWC-int8"};
+    supervisor_config config;
+    config.capture.sensor.channels = 24;  // the golden corpora's sensor
+    config.capture.sensor.azimuth_steps = 720;
+    config.capture.min_cluster_points = 10;
+    config.eps_selection_deadline_ms = 0;
+    config.classification_deadline_ms = 0;
+    config.frame_deadline_ms = 0;
+
+    std::vector<std::uint64_t> fields;
+    for (const char* name : {"clean.frames", "degraded.frames"}) {
+        frame_supervisor supervisor{config, int8};
+        const replay_result result = replay_corpus(supervisor, load_corpus_file(dir / name));
+        for (const frame_report& report : result.reports) {
+            std::uint64_t eps_bits = 0;
+            std::memcpy(&eps_bits, &report.chosen_eps, sizeof eps_bits);
+            fields.insert(fields.end(), {report.count, report.cluster_count,
+                                         static_cast<std::uint64_t>(report.status), eps_bits});
+        }
+    }
+    const std::uint64_t digest = fnv1a64(fields.data(), fields.size() * sizeof(std::uint64_t));
+    EXPECT_EQ(fields.size(), 4u * 14u);
+    EXPECT_EQ(digest, 0xd74c97059ea22af3ULL) << std::hex << "digest 0x" << digest;
 }
 
 // The golden corpora are single-stream corpus containers carrying the

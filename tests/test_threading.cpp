@@ -17,7 +17,6 @@
 #include "clustering/adaptive_eps.hpp"
 #include "clustering/dbscan.hpp"
 #include "common/thread_pool.hpp"
-#include "counting/crowd_counter.hpp"
 #include "features/height_features.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/supervisor.hpp"
@@ -270,18 +269,18 @@ TEST(determinism, end_to_end_count_identical) {
     hawc_model& model = shared_model();
     capture_config capture;
     capture.min_cluster_points = 20;
-    const crowd_counter counter{capture, model};
+    frame_supervisor supervisor{without_deadlines({.capture = capture}), model};
 
     rng scene{108};
     const point_cloud raw = synth_frame(scene, 5);
 
     set_global_thread_count(1);
     rng ref_rng{109};
-    const count_result reference = counter.count(raw, ref_rng);
+    const frame_report reference = supervisor.process(raw, ref_rng);
     for (std::size_t threads : sweep_counts()) {
         set_global_thread_count(threads);
         rng r{109};
-        const count_result got = counter.count(raw, r);
+        const frame_report got = supervisor.process(raw, r);
         ASSERT_EQ(got.count, reference.count) << "at " << threads << " threads";
         ASSERT_EQ(got.cluster_count, reference.cluster_count);
     }
@@ -314,10 +313,7 @@ TEST(determinism, chaos_soak_outcomes_identical_and_ladder_fires) {
         cfg.max_stale_frames = 4;
         // Determinism across runs: timing-based rungs must not flap, so
         // the cooperative deadlines are disabled for this sweep.
-        cfg.eps_selection_deadline_ms = 0.0;
-        cfg.classification_deadline_ms = 0.0;
-        cfg.frame_deadline_ms = 0.0;
-        frame_supervisor sup{cfg, primary, &model};
+        frame_supervisor sup{without_deadlines(cfg), primary, &model};
 
         fault_injector injector{fault_injection_config{}};
         rng scene_rng{31};
