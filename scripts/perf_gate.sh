@@ -14,7 +14,7 @@
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-snapshot="${1:-$repo_root/BENCH_PR15.json}"
+snapshot="${1:-$repo_root/bench/snapshot.json}"
 floor="${2:-$repo_root/bench/perf_floor.json}"
 tolerance="${HAWC_PERF_TOLERANCE:-1.35}"
 
@@ -28,7 +28,11 @@ with open(snapshot_path) as f:
 with open(floor_path) as f:
     floor = json.load(f)
 
-current = snapshot["current"]["threads_1"]
+current = snapshot.get("current", {}).get("threads_1")
+if current is None:
+    print(f"PERF GATE FAILED: {snapshot_path} has no current.threads_1 block "
+          "(run bench_snapshot with thread count 1)", file=sys.stderr)
+    sys.exit(1)
 isa = snapshot.get("kernel_isa", "unknown")
 failures = []
 print(f"perf gate: {snapshot_path} (kernel_isa={isa}) vs {floor_path} "

@@ -1,6 +1,5 @@
 #include "classifiers/hawc_model.hpp"
 
-#include <fstream>
 #include <numbers>
 
 #include "common/error.hpp"
@@ -105,18 +104,6 @@ quantized_model hawc_model::quantize(const cluster_dataset& calibration, rng& ra
         samples.push_back(extractor_.extract(calibration.clusters[pick], random));
     }
     return quantize_model(network_, samples);
-}
-
-void hawc_model::save(const std::filesystem::path& path) const {
-    std::ofstream out{path, std::ios::binary};
-    if (!out) throw io_error{"cannot open for writing: " + path.string()};
-    network_.save(out);
-}
-
-void hawc_model::load(const std::filesystem::path& path) {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) throw io_error{"cannot open for reading: " + path.string()};
-    network_.load(in);
 }
 
 }  // namespace hawc

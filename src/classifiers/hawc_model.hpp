@@ -5,7 +5,6 @@
 // 3x3 conv layers (batch norm + ReLU) and two fully-connected layers,
 // ~62k parameters at the default widths.
 
-#include <filesystem>
 #include <memory>
 
 #include "classifiers/classifier.hpp"
@@ -51,9 +50,6 @@ public:
     /// training clusters (the paper uses 100).
     quantized_model quantize(const cluster_dataset& calibration, rng& random,
                              std::size_t calibration_count = 100) const;
-
-    void save(const std::filesystem::path& path) const;
-    void load(const std::filesystem::path& path);
 
 private:
     hawc_config config_;

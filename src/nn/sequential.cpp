@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "common/error.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace hawc {
 
@@ -21,15 +20,9 @@ tensor sequential::forward(const tensor& input, bool training) {
     return x;
 }
 
-tensor sequential::infer(const tensor& input, const telemetry_handle& telem) const {
-    telemetry::scoped_span span{telem, "nn_infer"};
+tensor sequential::infer(const tensor& input) const {
     tensor x = input;
     for (const auto& l : layers_) x = l->infer(x);
-    if (telem.metrics != nullptr) {
-        telem.metrics
-            ->make_counter("hawc_nn_inferences_total", "sequential::infer forward passes")
-            .add(1);
-    }
     return x;
 }
 

@@ -6,7 +6,6 @@
 #include <iosfwd>
 
 #include "nn/layer.hpp"
-#include "telemetry/trace.hpp"
 
 namespace hawc {
 
@@ -30,10 +29,8 @@ public:
     tensor backward(const tensor& grad_output);
 
     /// Pure inference pass (see layer::infer): const and side-effect
-    /// free, so one trained model can serve concurrent threads. An
-    /// optional telemetry handle emits an "nn_infer" span and bumps the
-    /// hawc_nn_inferences_total counter; the default handle is inert.
-    tensor infer(const tensor& input, const telemetry_handle& telem = {}) const;
+    /// free, so one trained model can serve concurrent threads.
+    tensor infer(const tensor& input) const;
 
     /// Run only layers [begin, end) — used for models that train a prefix
     /// against an auxiliary head (e.g. autoencoder pretraining).

@@ -109,28 +109,6 @@ TEST(hawc_model_test, classifier_interface) {
     EXPECT_GT(static_cast<double>(correct) / static_cast<double>(data.test.size()), 0.85);
 }
 
-TEST(hawc_model_test, save_load_roundtrip) {
-    rng r{4};
-    toy_data data = make_toy(r, 30);
-    hawc_model model{small_hawc_config(), data.pool, r};
-    model.train(data.train, nullptr, r);
-
-    const auto path = std::filesystem::temp_directory_path() / "hawc_test_model.bin";
-    model.save(path);
-
-    rng r2{5};
-    hawc_model loaded{small_hawc_config(), data.pool, r2};
-    loaded.load(path);
-    // Same predictions after reload (fixed rng for up-sampling noise).
-    for (std::size_t i = 0; i < 10 && i < data.test.size(); ++i) {
-        rng ra{100 + i};
-        rng rb{100 + i};
-        EXPECT_EQ(model.is_human(data.test.clusters[i], ra),
-                  loaded.is_human(data.test.clusters[i], rb));
-    }
-    std::filesystem::remove(path);
-}
-
 TEST(hawc_model_test, quantized_wrapper_agrees) {
     rng r{6};
     toy_data data = make_toy(r, 50);

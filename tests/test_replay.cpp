@@ -14,8 +14,10 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "classifiers/hawc_model.hpp"
 #include "classifiers/quantized_classifier.hpp"
 #include "common/thread_pool.hpp"
+#include "dataset/builders.hpp"
 #include "features/pipeline.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
@@ -348,6 +350,39 @@ TEST(model_io, weights_reject_architecture_mismatch) {
     other.emplace<dense>(6, 4, r);
     std::istringstream in{out.str()};
     EXPECT_THROW(load_weights(in, other), io_error);
+}
+
+TEST(model_io, trained_hawc_weights_round_trip) {
+    // A trained HAWC network carries batch-norm running statistics as
+    // layer buffers, not parameters; the weights file must restore them
+    // too, or a reloaded model classifies differently.
+    single_person_dataset_config ds_cfg;
+    ds_cfg.human_samples = 30;
+    ds_cfg.object_samples = 30;
+    ds_cfg.capture = test_capture();
+    const single_person_dataset ds = build_single_person_dataset(ds_cfg);
+    hawc_config cfg;
+    cfg.features.upsample.target_points = 64;
+    cfg.features.projection.target_points = 64;
+    cfg.training.epochs = 6;
+
+    rng r{4};
+    hawc_model model{cfg, ds.pool, r};
+    model.train(ds.train, nullptr, r);
+    std::ostringstream out;
+    save_weights(out, model.network());
+
+    rng r2{5};  // different init, overwritten by load
+    hawc_model loaded{cfg, ds.pool, r2};
+    std::istringstream in{out.str()};
+    load_weights(in, loaded.network());
+
+    ASSERT_GT(ds.test.size(), 0u);
+    for (std::size_t i = 0; i < 10 && i < ds.test.size(); ++i) {
+        rng features{100 + i};
+        const tensor x = model.extractor().extract(ds.test.clusters[i], features);
+        EXPECT_EQ(loaded.network().infer(x), model.network().infer(x));
+    }
 }
 
 TEST(model_io, quantized_round_trip_bit_exactly) {
