@@ -1,6 +1,7 @@
 // Perf snapshot for the parallel frame engine: times the hot kernels
-// (the fp32 and int8 conv, the int8 dense, the 225-point HAP projection
-// and the deployed golden int8 net's forward) at several pool sizes, the
+// (the fp32 and int8 conv, the int8 dense, the 225-point HAP projection,
+// the deployed golden int8 net's forward and the adaptive clustering of a
+// dense deployment-sensor frame) at several pool sizes, the
 // fleet occupancy read path, the observability event pipeline, and the
 // corpus-container codec/pack/stream-decode path, and emits one JSON
 // document (bench/snapshot.json via scripts/bench_snapshot.sh).
@@ -25,11 +26,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
+#include "clustering/adaptive_eps.hpp"
 #include "features/height_features.hpp"
 #include "features/pipeline.hpp"
 #include "fleet/occupancy.hpp"
@@ -40,10 +43,12 @@
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/kernels/kernels.hpp"
+#include "preprocess/ingest.hpp"
 #include "quant/calibrate.hpp"
 #include "replay/codec.hpp"
 #include "replay/container.hpp"
 #include "replay/model_io.hpp"
+#include "replay/replay_driver.hpp"
 
 using namespace hawc;
 
@@ -143,6 +148,21 @@ point_cloud crowd_cloud(std::size_t people, std::size_t points_per_person,
     return cloud;
 }
 
+/// One simulated 30-person frame from the deployment sensor, ingested:
+/// the input of the clustering stage on a dense crowd.
+const point_cloud& dense_frame() {
+    static const point_cloud frame = [] {
+        replay::record_config crowd;  // deployment sensor defaults
+        crowd.seed = 30;
+        crowd.frames = 1;
+        crowd.min_people = 30;
+        crowd.max_people = 30;
+        return ingest(replay::record_corpus(crowd).frames[0].cloud, crowd.capture.roi,
+                      crowd.capture.ground);
+    }();
+    return frame;
+}
+
 tensor random_input(std::vector<std::size_t> shape, rng& r) {
     tensor input{std::move(shape)};
     for (std::size_t i = 0; i < input.size(); ++i) input[i] = static_cast<float>(r.normal());
@@ -205,6 +225,20 @@ std::vector<row_result> measure_kernels() {
         {"hap_projection_225_us", 200,
          [&] { sink(project_cluster(padded, anchor, projection, sigma)[0]); }, us_per(1)},
         {"qforward_golden_us", 100, [&] { sink(golden.forward(golden_input)[0]); },
+         us_per(1)},
+    });
+}
+
+// The clustering stage as the supervisor runs it on a dense frame: scale
+// and grid the cloud once, select eps on the grid, DBSCAN at that eps,
+// extract. Timed in passes of its own: a millisecond-scale row
+// interleaved with the kernel rows would evict their caches.
+std::vector<row_result> measure_clustering() {
+    const point_cloud& frame = dense_frame();
+    const adaptive_eps_config clustering;
+    return time_rows({
+        {"cluster_dense_frame_us", 5,
+         [&] { sink(adaptive_dbscan(frame, clustering).clusters.extract_clusters(frame).size()); },
          us_per(1)},
     });
 }
@@ -482,7 +516,9 @@ int main(int argc, char** argv) {
     for (std::size_t t = 0; t < thread_counts.size(); ++t) {
         set_global_thread_count(thread_counts[t]);
         std::printf("    \"threads_%zu\": {\n", thread_counts[t]);
-        print_block("      ", measure_kernels());
+        std::vector<row_result> rows = measure_kernels();
+        for (row_result& row : measure_clustering()) rows.push_back(std::move(row));
+        print_block("      ", rows);
         std::printf("    }%s\n", t + 1 < thread_counts.size() ? "," : "");
     }
     std::printf("  },\n");

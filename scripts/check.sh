@@ -64,7 +64,7 @@ echo "== phase 1/10: address,undefined over the full suite =="
 run_suite "address,undefined" "${repo_root}/build-sanitize" "$@"
 
 echo "== phase 2/10: thread sanitizer over the concurrency tests =="
-run_suite "thread" "${repo_root}/build-tsan" -R '^(thread_pool|determinism|telemetry|parity|container|fleet[a-z_]*|obs[a-z_]*)\.'
+run_suite "thread" "${repo_root}/build-tsan" -R '^(thread_pool|determinism|neighbor_grid|seeds/neighbor_grid[a-z_]*|telemetry|parity|container|fleet[a-z_]*|obs[a-z_]*)\.'
 
 echo "== phase 3/10: bench snapshot smoke =="
 smoke_build="${repo_root}/build-sanitize"

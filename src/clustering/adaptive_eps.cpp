@@ -13,8 +13,7 @@ std::vector<double> knn_distance_curve(const point_cloud& cloud, std::size_t k,
                                        const cluster_metric& metric) {
     HAWC_REQUIRE(k >= 1, "k must be at least 1");
     if (cloud.size() <= k) return {};
-    const point_cloud scaled = metric.scale(cloud);
-    return knn_distance_curve_scaled(scaled, kd_tree{scaled}, k);
+    return knn_distance_curve(neighbor_grid{metric.scale(cloud)}, k);
 }
 
 std::size_t knee_index(std::span<const double> ascending) {
@@ -32,23 +31,22 @@ std::size_t knee_index(std::span<const double> ascending) {
     return best;
 }
 
-std::vector<double> knn_distance_curve_scaled(const point_cloud& scaled_cloud,
-                                              const kd_tree& tree, std::size_t k) {
+std::vector<double> knn_distance_curve(const neighbor_grid& grid, std::size_t k) {
     HAWC_REQUIRE(k >= 1, "k must be at least 1");
     std::vector<double> distances;
-    if (scaled_cloud.size() <= k) return distances;
-    distances.resize(scaled_cloud.size());
-    // One independent k-NN query per point: fan out over the pool with a
-    // reused allocation-free scratch buffer per chunk. The sort below
-    // erases chunk order, but even the unsorted curve is identical for
-    // any thread count.
-    global_pool().parallel_for(0, scaled_cloud.size(), 64, [&](std::size_t lo, std::size_t hi,
-                                                               std::size_t /*slot*/) {
-        std::vector<neighbor> neighbors;
+    if (grid.size() <= k) return distances;
+    distances.resize(grid.size());
+    // One independent k-NN query per point, in the grid's cell order:
+    // fan out over the pool with a reused allocation-free scratch buffer
+    // per chunk. The sort below erases the order, and the k-th distance
+    // does not depend on the order its candidates were met in, so the
+    // curve is identical for any thread count.
+    global_pool().parallel_for(0, grid.size(), 64, [&](std::size_t lo, std::size_t hi,
+                                                       std::size_t /*slot*/) {
+        std::vector<double> best;
         for (std::size_t i = lo; i < hi; ++i) {
-            // k+1 because the query point itself is its own 0-th neighbour.
-            tree.nearest_into(scaled_cloud[i], k + 1, neighbors);
-            distances[i] = neighbors.back().distance;
+            // k+1 because the query point itself is its own nearest.
+            distances[i] = grid.nearest_distance(grid.point(i), k + 1, best);
         }
     });
     std::sort(distances.begin(), distances.end());
@@ -90,30 +88,33 @@ void publish_eps(const telemetry_handle& telem, double eps) {
 
 double adaptive_epsilon(const point_cloud& cloud, const adaptive_eps_config& config,
                         const telemetry_handle& telem) {
-    const point_cloud scaled = config.metric.scale(cloud);
-    return adaptive_epsilon_scaled(scaled, kd_tree{scaled}, config, telem);
+    return adaptive_epsilon(neighbor_grid{config.metric.scale(cloud)}, config, telem);
 }
 
-double adaptive_epsilon_scaled(const point_cloud& scaled_cloud, const kd_tree& tree,
-                               const adaptive_eps_config& config,
-                               const telemetry_handle& telem) {
+double adaptive_epsilon(const neighbor_grid& grid, const adaptive_eps_config& config,
+                        const telemetry_handle& telem) {
     telemetry::scoped_span span{telem, "eps_selection"};
-    const auto curve = knn_distance_curve_scaled(scaled_cloud, tree, config.k);
+    const auto curve = knn_distance_curve(grid, config.k);
     const double eps = epsilon_from_curve(curve, config);
     publish_eps(telem, eps);
     return eps;
+}
+
+double adaptive_epsilon_scaled(const point_cloud& scaled_cloud, const kd_tree& /*tree*/,
+                               const adaptive_eps_config& config,
+                               const telemetry_handle& telem) {
+    return adaptive_epsilon(neighbor_grid{scaled_cloud}, config, telem);
 }
 
 adaptive_clustering_result adaptive_dbscan(const point_cloud& cloud,
                                            const adaptive_eps_config& config) {
     adaptive_clustering_result result;
     if (cloud.empty()) return result;
-    // Scale the cloud and build the KD-tree once; eps selection and the
-    // DBSCAN region queries share both.
-    const point_cloud scaled = config.metric.scale(cloud);
-    const kd_tree tree{scaled};
-    result.chosen_eps = adaptive_epsilon_scaled(scaled, tree, config);
-    result.clusters = dbscan_scaled(scaled, tree, result.chosen_eps, config.min_points);
+    // Scale the cloud and grid it once; eps selection and the DBSCAN
+    // region queries share the grid.
+    const neighbor_grid grid{config.metric.scale(cloud)};
+    result.chosen_eps = adaptive_epsilon(grid, config);
+    result.clusters = dbscan(grid, result.chosen_eps, config.min_points);
     return result;
 }
 

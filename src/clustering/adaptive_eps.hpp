@@ -32,10 +32,9 @@ struct adaptive_eps_config {
 std::vector<double> knn_distance_curve(const point_cloud& cloud, std::size_t k,
                                        const cluster_metric& metric = {});
 
-/// Same curve over a cloud already in metric space with a prebuilt tree
-/// (lets eps selection and DBSCAN share one tree per frame).
-std::vector<double> knn_distance_curve_scaled(const point_cloud& scaled_cloud,
-                                              const kd_tree& tree, std::size_t k);
+/// Same curve over the grid of a cloud already in metric space (lets eps
+/// selection and DBSCAN share one neighbour index per frame).
+std::vector<double> knn_distance_curve(const neighbor_grid& grid, std::size_t k);
 
 /// Eps from an already-computed ascending k-NN curve (band restriction +
 /// elbow + clamp); the pieces of adaptive_epsilon for callers that cache
@@ -54,7 +53,12 @@ std::size_t knee_index(std::span<const double> ascending);
 double adaptive_epsilon(const point_cloud& cloud, const adaptive_eps_config& config = {},
                         const telemetry_handle& telem = {});
 
-/// adaptive_epsilon over a pre-scaled cloud with a prebuilt tree.
+/// adaptive_epsilon over the grid of a cloud already in metric space.
+double adaptive_epsilon(const neighbor_grid& grid, const adaptive_eps_config& config = {},
+                        const telemetry_handle& telem = {});
+
+/// Forwarder for the replay benchmark's stage probe: builds a grid over
+/// `scaled_cloud` and ignores `tree`. Goes when that probe does.
 double adaptive_epsilon_scaled(const point_cloud& scaled_cloud, const kd_tree& tree,
                                const adaptive_eps_config& config = {},
                                const telemetry_handle& telem = {});

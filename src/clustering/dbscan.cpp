@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -10,26 +12,27 @@
 namespace hawc {
 
 // Two-phase DBSCAN. Phase 1 computes every point's eps-neighbourhood and
-// core flag — queries are independent, so they fan out across the thread
-// pool with per-chunk scratch buffers and land in one CSR structure
-// (chunks are contiguous and copied back in slot order, so the CSR is
-// byte-identical for any thread count). Phase 2 is the sequential label
-// expansion; it only walks the precomputed lists, which preserves the
-// exact labels of the original single-pass implementation while doing no
-// tree queries at all. Points claim their label when they enter the
-// frontier, so each point is enqueued at most once and the frontier is
-// bounded by the cloud size even on dense clusters (the old BFS could
-// re-enqueue a point once per neighbouring core point).
-cluster_result dbscan_scaled(const point_cloud& scaled_cloud, const kd_tree& tree, double eps,
-                             std::size_t min_points, const telemetry_handle& telem) {
+// core flag — grid radius queries are independent, so they fan out across
+// the thread pool, each chunk filling a list of its own, and land in one
+// CSR structure (chunks are contiguous and copied back in slot order, so
+// the CSR is byte-identical for any thread count). Phase 2 is the
+// sequential label expansion; it only walks the precomputed lists. Both
+// phases work on the grid's cell-order positions, which keeps each
+// chunk's queries in neighbouring cells; seeds are still taken in cloud
+// order, and a cluster is the closure of its seed over the neighbour
+// *sets*, so the labels are those of the original single-pass
+// implementation. Points claim their label when they enter the frontier,
+// so each point is enqueued at most once and the frontier is bounded by
+// the cloud size even on dense clusters.
+cluster_result dbscan(const neighbor_grid& grid, double eps, std::size_t min_points,
+                      const telemetry_handle& telem) {
     HAWC_REQUIRE(eps > 0.0, "dbscan eps must be positive");
     telemetry::scoped_span span{telem, "dbscan"};
     HAWC_REQUIRE(min_points >= 1, "dbscan min_points must be at least 1");
 
     constexpr int unvisited = -2;
-    const std::size_t n = scaled_cloud.size();
+    const std::size_t n = grid.size();
     cluster_result result;
-    result.labels.assign(n, unvisited);
     if (n == 0) return result;
 
     // ---- Phase 1: parallel neighbour lists + core flags (CSR) ----
@@ -38,14 +41,16 @@ cluster_result dbscan_scaled(const point_cloud& scaled_cloud, const kd_tree& tre
     std::vector<std::vector<std::uint32_t>> chunk_lists(pool.max_slots());
 
     pool.parallel_for(0, n, 256, [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-        std::vector<std::uint32_t>& local = chunk_lists[slot];
-        local.clear();
-        std::vector<std::size_t> found;  // per-query scratch, reused
+        // Appends go to a list on this lane's stack: the headers of
+        // chunk_lists sit side by side, and growing them in place from
+        // several lanes false-shares their cache lines.
+        std::vector<std::uint32_t> local;
         for (std::size_t i = lo; i < hi; ++i) {
-            tree.radius_search_into(scaled_cloud[i], eps, found);
-            counts[i] = static_cast<std::uint32_t>(found.size());
-            local.insert(local.end(), found.begin(), found.end());
+            const std::size_t before = local.size();
+            grid.radius_into(grid.point(i), eps, local);
+            counts[i] = static_cast<std::uint32_t>(local.size() - before);
         }
+        chunk_lists[slot] = std::move(local);
     });
 
     std::vector<std::size_t> offsets(n + 1, 0);
@@ -58,6 +63,7 @@ cluster_result dbscan_scaled(const point_cloud& scaled_cloud, const kd_tree& tre
     }
 
     // ---- Phase 2: sequential label expansion over the CSR lists ----
+    std::vector<int> labels(n, unvisited);  // by cell-order position
     int next_cluster = 0;
     std::vector<std::uint32_t> frontier;
     frontier.reserve(n);
@@ -66,23 +72,27 @@ cluster_result dbscan_scaled(const point_cloud& scaled_cloud, const kd_tree& tre
     const auto claim_neighbors = [&](std::size_t p, int cluster) {
         for (std::size_t j = offsets[p]; j < offsets[p + 1]; ++j) {
             const std::uint32_t nb = neighbors[j];
-            const int label = result.labels[nb];
+            const int label = labels[nb];
             if (label == unvisited || label == noise_label) {
-                result.labels[nb] = cluster;  // border until proven core
+                labels[nb] = cluster;  // border until proven core
                 frontier.push_back(nb);
             }
         }
     };
 
-    for (std::size_t seed = 0; seed < n; ++seed) {
-        if (result.labels[seed] != unvisited) continue;
+    std::vector<std::uint32_t> position(n);  // cloud index -> cell-order position
+    for (std::size_t pos = 0; pos < n; ++pos) {
+        position[grid.cloud_index(pos)] = static_cast<std::uint32_t>(pos);
+    }
+    for (const std::uint32_t seed : position) {  // seeds in cloud order
+        if (labels[seed] != unvisited) continue;
         if (!is_core(seed)) {
-            result.labels[seed] = noise_label;  // may be relabelled as border later
+            labels[seed] = noise_label;  // may be relabelled as border later
             continue;
         }
 
         const int cluster = next_cluster++;
-        result.labels[seed] = cluster;
+        labels[seed] = cluster;
         frontier.clear();
         claim_neighbors(seed, cluster);
         for (std::size_t head = 0; head < frontier.size(); ++head) {
@@ -91,6 +101,8 @@ cluster_result dbscan_scaled(const point_cloud& scaled_cloud, const kd_tree& tre
         }
     }
 
+    result.labels.resize(n);
+    for (std::size_t pos = 0; pos < n; ++pos) result.labels[grid.cloud_index(pos)] = labels[pos];
     result.cluster_count = static_cast<std::size_t>(next_cluster);
     if (telem.metrics != nullptr) {
         telem.metrics->make_counter("hawc_dbscan_points_total", "Points clustered by DBSCAN")
@@ -104,9 +116,13 @@ cluster_result dbscan_scaled(const point_cloud& scaled_cloud, const kd_tree& tre
 cluster_result dbscan(const point_cloud& cloud, const dbscan_config& config,
                       const telemetry_handle& telem) {
     if (cloud.empty()) return {};
-    const point_cloud scaled = config.metric.scale(cloud);
-    const kd_tree tree{scaled};
-    return dbscan_scaled(scaled, tree, config.eps, config.min_points, telem);
+    return dbscan(neighbor_grid{config.metric.scale(cloud)}, config.eps, config.min_points,
+                  telem);
+}
+
+cluster_result dbscan_scaled(const point_cloud& scaled_cloud, const kd_tree& /*tree*/,
+                             double eps, std::size_t min_points, const telemetry_handle& telem) {
+    return dbscan(neighbor_grid{scaled_cloud}, eps, min_points, telem);
 }
 
 }  // namespace hawc

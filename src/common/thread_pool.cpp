@@ -1,13 +1,18 @@
 #include "common/thread_pool.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace hawc {
 
@@ -177,10 +182,7 @@ void thread_pool::parallel_for(std::size_t begin, std::size_t end, std::size_t g
 namespace {
 
 std::size_t default_thread_count() {
-    if (const char* env = std::getenv("HAWC_THREADS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed >= 1) return static_cast<std::size_t>(parsed);
-    }
+    if (const char* env = std::getenv("HAWC_THREADS")) return parse_thread_count(env);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
@@ -191,6 +193,18 @@ std::unique_ptr<thread_pool>& global_pool_slot() {
 }
 
 }  // namespace
+
+std::size_t parse_thread_count(std::string_view text) {
+    std::size_t value = 0;
+    const char* const end = text.data() + text.size();
+    const auto [stop, status] = std::from_chars(text.data(), end, value);
+    if (status != std::errc{} || stop != end || value < 1 || value > max_env_threads) {
+        throw invalid_argument_error{"HAWC_THREADS=\"" + std::string{text} +
+                                     "\": expected a whole number of threads in [1, " +
+                                     std::to_string(max_env_threads) + "]"};
+    }
+    return value;
+}
 
 thread_pool& global_pool() {
     auto& slot = global_pool_slot();

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string_view>
 
 namespace hawc {
 
@@ -92,8 +93,17 @@ private:
     std::size_t lanes_ = 1;
 };
 
+/// Largest lane count HAWC_THREADS may ask for.
+inline constexpr std::size_t max_env_threads = 1024;
+
+/// Parses a HAWC_THREADS value strictly: a decimal integer in
+/// [1, max_env_threads] and nothing else (no sign, blank or suffix).
+/// Throws invalid_argument_error naming the rejected value otherwise.
+std::size_t parse_thread_count(std::string_view text);
+
 /// The process-wide pool used by the pipeline kernels. Sized on first use
-/// from the HAWC_THREADS environment variable when set, otherwise from
+/// from the HAWC_THREADS environment variable when set (through
+/// parse_thread_count, so a bad value throws here), otherwise from
 /// std::thread::hardware_concurrency().
 thread_pool& global_pool();
 

@@ -18,7 +18,7 @@ double axis_value(const vec3& p, std::uint8_t axis) {
 }
 
 // Max-heap of the best k candidates on a fixed-size inline array — the
-// k <= 16 fast path (height_variation and the eps elbow use k = 9). No
+// k <= 16 fast path (height_variation uses k = 9). No
 // allocation, and small enough to live in registers/L1 during traversal.
 class inline_k_heap {
 public:
@@ -233,47 +233,6 @@ std::vector<neighbor> kd_tree::nearest(const vec3& query, std::size_t k) const {
     std::vector<neighbor> result;
     nearest_into(query, k, result);
     return result;
-}
-
-template <typename Visitor>
-void kd_tree::visit_radius(std::int32_t node_index, const vec3& query, double radius_sq,
-                           Visitor&& visit) const {
-    if (node_index < 0) return;
-    const node& nd = nodes_[static_cast<std::size_t>(node_index)];
-    if (nd.leaf) {
-        for (std::int32_t i = nd.begin; i < nd.end; ++i) {
-            const auto cloud_index = order_[static_cast<std::size_t>(i)];
-            if (points_[static_cast<std::size_t>(cloud_index)].distance_sq_to(query) <= radius_sq) {
-                visit(static_cast<std::size_t>(cloud_index));
-            }
-        }
-        return;
-    }
-    const double delta = axis_value(query, nd.axis) - nd.split;
-    const auto near_child = delta <= 0.0 ? nd.left : nd.right;
-    const auto far_child = delta <= 0.0 ? nd.right : nd.left;
-    visit_radius(near_child, query, radius_sq, visit);
-    if (delta * delta <= radius_sq) visit_radius(far_child, query, radius_sq, visit);
-}
-
-void kd_tree::radius_search_into(const vec3& query, double radius,
-                                 std::vector<std::size_t>& found) const {
-    found.clear();
-    if (points_.empty() || radius < 0.0) return;
-    visit_radius(root_, query, radius * radius, [&](std::size_t i) { found.push_back(i); });
-}
-
-std::vector<std::size_t> kd_tree::radius_search(const vec3& query, double radius) const {
-    std::vector<std::size_t> found;
-    radius_search_into(query, radius, found);
-    return found;
-}
-
-std::size_t kd_tree::count_within(const vec3& query, double radius) const {
-    if (points_.empty() || radius < 0.0) return 0;
-    std::size_t count = 0;
-    visit_radius(root_, query, radius * radius, [&](std::size_t) { ++count; });
-    return count;
 }
 
 }  // namespace hawc

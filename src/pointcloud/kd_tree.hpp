@@ -1,16 +1,15 @@
 #pragma once
 
-// Static KD-tree over a point cloud. Supports the two queries the paper's
-// pipeline needs: k-nearest-neighbour search (adaptive-eps selection and
-// height-aware projection) and fixed-radius search (DBSCAN region queries).
+// Static KD-tree over a point cloud, answering k-nearest-neighbour
+// queries for the HAP height-variation sigma pass (the clustering stage's
+// neighbour queries run on pointcloud/neighbor_grid.hpp).
 //
-// The *_into overloads write into caller-owned buffers and perform no
-// heap allocation per query (beyond growing the caller's buffer towards
-// its steady-state capacity), so tight per-point loops — DBSCAN phase 1,
-// the HAP height-variation sigma pass, the k-NN elbow curve — can run
-// millions of queries without touching the allocator. Queries are const
-// and touch no mutable state, so any number of threads may query one
-// tree concurrently.
+// nearest_into writes into a caller-owned buffer and performs no heap
+// allocation per query (beyond growing the caller's buffer towards its
+// steady-state capacity), so the per-point sigma loop can run millions of
+// queries without touching the allocator. Queries are const and touch no
+// mutable state, so any number of threads may query one tree
+// concurrently.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,19 +45,6 @@ public:
     /// allocating. k <= 16 additionally runs on a fixed-size inline heap.
     void nearest_into(const vec3& query, std::size_t k, std::vector<neighbor>& out) const;
 
-    /// Indices of all points within `radius` (inclusive) of `query`.
-    std::vector<std::size_t> radius_search(const vec3& query, double radius) const;
-
-    /// Allocation-free radius query: `found` is cleared and filled with
-    /// the indices radius_search() returns (same order). Reuse `found`
-    /// across queries to amortise its capacity.
-    void radius_search_into(const vec3& query, double radius,
-                            std::vector<std::size_t>& found) const;
-
-    /// Number of points within `radius` of `query` (no allocation beyond
-    /// the recursion stack); used by DBSCAN core-point tests.
-    std::size_t count_within(const vec3& query, double radius) const;
-
 private:
     struct node {
         std::int32_t left = -1;
@@ -71,10 +57,6 @@ private:
     };
 
     std::int32_t build(std::int32_t begin, std::int32_t end, int depth);
-
-    template <typename Visitor>
-    void visit_radius(std::int32_t node_index, const vec3& query, double radius_sq,
-                      Visitor&& visit) const;
 
     template <typename Heap>
     void nearest_with_heap(const vec3& query, std::size_t k, Heap& heap) const;

@@ -5,6 +5,7 @@
 
 #include "clustering/adaptive_eps.hpp"
 #include "clustering/dbscan.hpp"
+#include "pointcloud/neighbor_grid.hpp"
 #include "preprocess/ingest.hpp"
 
 namespace hawc {
@@ -259,20 +260,19 @@ void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
     if (ingested.size() < cluster_floor) return;
 
     // ---- Clustering: adaptive eps with the fixed-eps fallback rung ----
-    // Eps selection and DBSCAN share one metric-scaled cloud and KD tree;
-    // both operate in the same metric space, so the fixed-eps rung can
-    // reuse them too (fallback_eps is expressed in metric space, exactly
+    // Eps selection and DBSCAN share one grid over the metric-scaled
+    // cloud; both operate in the same metric space, so the fixed-eps rung
+    // reuses it too (fallback_eps is expressed in metric space, exactly
     // as the dbscan() convenience entry point treats config.eps).
     sw.reset();
     const adaptive_eps_config& ccfg = config_.capture.clustering;
-    const point_cloud scaled = ccfg.metric.scale(ingested);
-    const kd_tree tree{scaled};
+    const neighbor_grid grid{ccfg.metric.scale(ingested)};
     bool use_fixed = false;
     failure_kind why = failure_kind::degenerate_elbow;
     std::string why_detail;
     {
         stopwatch eps_sw;
-        const double eps = adaptive_epsilon_scaled(scaled, tree, ccfg, telem);
+        const double eps = adaptive_epsilon(grid, ccfg, telem);
         const double selection_ms = eps_sw.elapsed_ms();
         rc_.eps_selection_ms->record(selection_ms);
         if (config_.eps_selection_deadline_ms > 0.0 &&
@@ -294,7 +294,7 @@ void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
     if (use_fixed) report.chosen_eps = config_.fallback_eps;
 
     const std::vector<point_cloud> clusters =
-        dbscan_scaled(scaled, tree, report.chosen_eps, ccfg.min_points, telem)
+        dbscan(grid, report.chosen_eps, ccfg.min_points, telem)
             .extract_clusters(ingested);
     clustering_ms.ms = sw.elapsed_ms();
     if (use_fixed) {

@@ -1,11 +1,12 @@
-// Allocation accounting for the hot KD-tree queries and the int8 forward.
-// This binary replaces the global operator new/delete with counting
-// wrappers, so it must stay a dedicated executable: the *_into queries are
-// required to perform ZERO heap allocations at steady state (after the
-// caller's reused buffers reach their plateau capacity), which is what
-// lets DBSCAN phase 1, the k-NN elbow curve and the HAP sigma pass issue
-// millions of queries without serializing on the allocator; the int8
-// forward, run once per cluster, allocates only the logits it returns.
+// Allocation accounting for the hot neighbour queries and the int8
+// forward. This binary replaces the global operator new/delete with
+// counting wrappers, so it must stay a dedicated executable: the KD tree's
+// nearest_into and the neighbour grid's queries are required to perform
+// ZERO heap allocations at steady state (after the caller's reused buffers
+// reach their plateau capacity), which is what lets DBSCAN phase 1, the
+// k-NN elbow curve and the HAP sigma pass issue millions of queries
+// without serializing on the allocator; the int8 forward, run once per
+// cluster, allocates only the logits it returns.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "pointcloud/kd_tree.hpp"
+#include "pointcloud/neighbor_grid.hpp"
 #include "quant/q_model.hpp"
 #include "replay/model_io.hpp"
 
@@ -98,34 +100,48 @@ TEST(kd_alloc, large_k_nearest_into_is_allocation_free_at_steady_state) {
     EXPECT_EQ(after - before, 0u);
 }
 
-TEST(kd_alloc, radius_search_into_is_allocation_free_at_steady_state) {
+TEST(grid_alloc, radius_into_is_allocation_free_at_steady_state) {
     const point_cloud cloud = seeded_cloud(4000, 9);
-    const kd_tree tree{cloud};
+    const neighbor_grid grid{cloud};
     // Warm-up over the full query set: result counts vary per query, so
     // the buffer plateaus only once it has seen the largest one.
-    std::vector<std::size_t> found;
-    for (std::size_t i = 0; i < cloud.size(); ++i) tree.radius_search_into(cloud[i], 1.5, found);
-
-    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < cloud.size(); ++i) {
-        tree.radius_search_into(cloud[i], 1.5, found);
+    std::vector<std::uint32_t> found;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        found.clear();
+        grid.radius_into(grid.point(i), 1.5, found);
     }
-    const std::uint64_t after = g_news.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u) << (after - before) << " allocations in "
-                                  << cloud.size() << " radius queries";
-}
 
-TEST(kd_alloc, count_within_never_allocates) {
-    const point_cloud cloud = seeded_cloud(4000, 10);
-    const kd_tree tree{cloud};
     const std::uint64_t before = g_news.load(std::memory_order_relaxed);
     std::size_t total = 0;
-    for (std::size_t i = 0; i < cloud.size(); ++i) {
-        total += tree.count_within(cloud[i], 1.0);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        found.clear();
+        grid.radius_into(grid.point(i), 1.5, found);
+        total += found.size();
     }
     const std::uint64_t after = g_news.load(std::memory_order_relaxed);
-    EXPECT_GT(total, 0u);
-    EXPECT_EQ(after - before, 0u);
+    EXPECT_GT(total, grid.size());
+    EXPECT_EQ(after - before, 0u) << (after - before) << " allocations in "
+                                  << grid.size() << " radius queries";
+}
+
+TEST(grid_alloc, nearest_distance_is_allocation_free_at_steady_state) {
+    // The eps elbow's query (k + 1 = 5) and a rank past any inline size.
+    const point_cloud cloud = seeded_cloud(4000, 10);
+    const neighbor_grid grid{cloud};
+    for (const std::size_t rank : {std::size_t{5}, std::size_t{48}}) {
+        std::vector<double> best;
+        grid.nearest_distance(grid.point(0), rank, best);  // sizes the scratch
+
+        const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+        double total = 0.0;
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            total += grid.nearest_distance(grid.point(i), rank, best);
+        }
+        const std::uint64_t after = g_news.load(std::memory_order_relaxed);
+        EXPECT_GT(total, 0.0);
+        EXPECT_EQ(after - before, 0u) << (after - before) << " allocations in "
+                                      << grid.size() << " rank-" << rank << " queries";
+    }
 }
 
 TEST(q_alloc, golden_int8_forward_allocates_only_its_logits) {

@@ -45,9 +45,14 @@ TEST_P(seeded_property, dbscan_core_point_invariants) {
     cfg.metric = cluster_metric{1.0};
     const cluster_result result = dbscan(cloud, cfg);
 
-    const kd_tree tree{cloud};
+    // Brute-force oracle: points within eps, the point itself included.
+    const auto count_within = [&](const vec3& q) {
+        std::size_t count = 0;
+        for (const vec3& p : cloud) count += p.distance_sq_to(q) <= cfg.eps * cfg.eps ? 1 : 0;
+        return count;
+    };
     for (std::size_t i = 0; i < cloud.size(); ++i) {
-        const std::size_t neighbors = tree.count_within(cloud[i], cfg.eps);
+        const std::size_t neighbors = count_within(cloud[i]);
         if (result.labels[i] == noise_label) {
             // A noise point cannot itself be a core point.
             EXPECT_LT(neighbors, cfg.min_points) << "noise point " << i << " is core";
@@ -57,7 +62,7 @@ TEST_P(seeded_property, dbscan_core_point_invariants) {
     std::vector<bool> has_core(result.cluster_count, false);
     for (std::size_t i = 0; i < cloud.size(); ++i) {
         if (result.labels[i] != noise_label &&
-            tree.count_within(cloud[i], cfg.eps) >= cfg.min_points) {
+            count_within(cloud[i]) >= cfg.min_points) {
             has_core[static_cast<std::size_t>(result.labels[i])] = true;
         }
     }

@@ -677,6 +677,62 @@ TEST(replay, golden_supervisor_digest_is_pinned) {
     EXPECT_EQ(digest, 0xd74c97059ea22af3ULL) << std::hex << "digest 0x" << digest;
 }
 
+// Pins the neighbour queries of the adaptive clustering stage bit for
+// bit: the sorted k-NN curve, the chosen eps and the DBSCAN labels at
+// that eps and at the supervisor's fixed-eps rung, for every golden frame
+// (ingested, duplicates kept) plus one 30-person deployment-sensor frame,
+// at one and three lanes. A change to the neighbour index must leave it
+// alone.
+TEST(replay, golden_neighbour_digest_is_pinned) {
+    const std::filesystem::path dir{HAWC_GOLDEN_DIR};
+    capture_config golden;
+    golden.sensor.channels = 24;  // the golden corpora's sensor
+    golden.sensor.azimuth_steps = 720;
+    std::vector<point_cloud> clouds;
+    for (const char* name : {"clean.frames", "degraded.frames"}) {
+        for (const frame_record& frame : load_corpus_file(dir / name).frames) {
+            clouds.push_back(ingest(frame.cloud, golden.roi, golden.ground));
+        }
+    }
+    record_config crowd;  // deployment sensor defaults
+    crowd.seed = 30;
+    crowd.frames = 1;
+    crowd.min_people = 30;
+    crowd.max_people = 30;
+    const capture_config deployment = crowd.capture;
+    clouds.push_back(
+        ingest(record_corpus(crowd).frames[0].cloud, deployment.roi, deployment.ground));
+
+    const adaptive_eps_config cfg;
+    const double fixed_eps = supervisor_config{}.fallback_eps;
+    const auto digest_at = [&](std::size_t threads) {
+        set_global_thread_count(threads);
+        std::vector<std::uint8_t> bytes;
+        const auto put = [&bytes](const auto& values) {
+            const auto* raw = reinterpret_cast<const std::uint8_t*>(values.data());
+            bytes.insert(bytes.end(), raw, raw + values.size() * sizeof(values[0]));
+        };
+        for (const point_cloud& cloud : clouds) {
+            put(knn_distance_curve(cloud, cfg.k, cfg.metric));
+            const double eps = adaptive_epsilon(cloud, cfg);
+            put(std::vector<double>{eps});
+            put(dbscan(cloud, {eps, cfg.min_points, cfg.metric}).labels);
+            put(dbscan(cloud, {fixed_eps, cfg.min_points, cfg.metric}).labels);
+            const adaptive_clustering_result both = adaptive_dbscan(cloud, cfg);
+            put(std::vector<double>{both.chosen_eps});
+            put(both.clusters.labels);
+        }
+        return fnv1a64(bytes.data(), bytes.size());
+    };
+    const std::size_t threads = global_thread_count();
+    const std::uint64_t one_lane = digest_at(1);
+    const std::uint64_t three_lanes = digest_at(3);
+    set_global_thread_count(threads);
+    EXPECT_EQ(clouds.size(), 15u);
+    EXPECT_EQ(one_lane, three_lanes);
+    EXPECT_EQ(one_lane, 0xd67d232e21cfee3aULL) << std::hex << "digest 0x" << one_lane;
+}
+
 // The golden corpora are single-stream corpus containers carrying the
 // names and seeds parity_checker records them with.
 TEST(replay, golden_corpora_are_corpus_containers) {

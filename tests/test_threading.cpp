@@ -10,12 +10,14 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "classifiers/hawc_model.hpp"
 #include "clustering/adaptive_eps.hpp"
 #include "clustering/dbscan.hpp"
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "features/height_features.hpp"
 #include "runtime/fault_injection.hpp"
@@ -122,6 +124,24 @@ TEST(thread_pool, small_ranges_respect_grain) {
         if (lo == 0 && hi == 10) ++chunks_seen;
     });
     EXPECT_EQ(chunks_seen, 1u);  // one chunk: the range is below one grain
+}
+
+// HAWC_THREADS goes through this parser; only the parser is exercised
+// here, so no test ever starts a pool of the sizes it rejects.
+TEST(thread_pool, env_thread_count_parses_strictly) {
+    EXPECT_EQ(parse_thread_count("1"), 1u);
+    EXPECT_EQ(parse_thread_count("4"), 4u);
+    EXPECT_EQ(parse_thread_count("1024"), max_env_threads);
+    for (const char* bad : {"", "abc", "4x", "x4", " 4", "4 ", "+4", "-1", "0", "4.0", "0x4",
+                            "1025", "99999999999999999999999"}) {
+        EXPECT_THROW(parse_thread_count(bad), invalid_argument_error) << '"' << bad << '"';
+    }
+    try {
+        parse_thread_count("4x");
+    } catch (const invalid_argument_error& e) {
+        EXPECT_NE(std::string{e.what()}.find("HAWC_THREADS=\"4x\""), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(thread_pool, propagates_exceptions_from_workers) {
