@@ -15,7 +15,7 @@
 
 using namespace hawc;
 
-int main() {
+int main() try {
     // ---- Train a compact model (small dataset keeps the demo quick) ----
     std::cout << "Preparing the classifier...\n";
     single_person_dataset_config ds_cfg;
@@ -91,4 +91,7 @@ int main() {
     std::cout << "  load distribution (people per frame):\n";
     for (const auto& row : load_histogram.ascii_rows(30)) std::cout << "    " << row << "\n";
     return 0;
+} catch (const std::exception& e) {
+    std::cerr << "campus_walkway: " << e.what() << "\n";
+    return 2;
 }

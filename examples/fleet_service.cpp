@@ -34,7 +34,6 @@ public:
         return extent.z > 0.7 && std::max(extent.x, extent.y) < 2.5;
     }
     std::string name() const override { return "ExtentGate"; }
-    bool thread_safe() const override { return true; }
 };
 
 // A synthetic pole capture: ground plane plus person-sized blobs.

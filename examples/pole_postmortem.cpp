@@ -36,7 +36,6 @@ public:
         return extent.z > 0.7 && std::max(extent.x, extent.y) < 2.5;
     }
     std::string name() const override { return "ExtentGate"; }
-    bool thread_safe() const override { return true; }
 };
 
 // Synthetic pole capture, pre-rounded to the recorded float32 precision:

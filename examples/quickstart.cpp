@@ -14,7 +14,7 @@
 
 using namespace hawc;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const bool tiny = argc > 1 && std::strcmp(argv[1], "--tiny") == 0;
 
     // ---- 1. Dataset ----
@@ -65,4 +65,7 @@ int main(int argc, char** argv) {
     std::cout << "  " << supervisor.counter().name() << " counted " << result.count << " in "
               << result.frame_ms << " ms (" << result.cluster_count << " clusters examined)\n";
     return 0;
+} catch (const std::exception& e) {
+    std::cerr << "quickstart: " << e.what() << "\n";
+    return 2;
 }

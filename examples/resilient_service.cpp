@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
                                     "HAWC-int8"};
     // Sporadic dequantization faults on the primary: roughly 1 in 50
     // cluster classifications throws, exercising the float-model rung.
-    const flaky_classifier primary{int8, 0.02, 99};
+    const flaky_classifier primary{int8, 0.02};
 
     // ---- Supervisor: int8 primary, fp32 fallback, tracing on ----
     supervisor_config sup_cfg;

@@ -5,7 +5,9 @@
 #      (degenerate-input and chaos-soak tests under heap/UB checking)
 #   2. ThreadSanitizer over the concurrency tests (the thread-pool
 #      contract, cross-thread-count determinism sweeps, parallel soak,
-#      the telemetry registry/span suite, and the multi-writer event log)
+#      the telemetry registry/span suite, the multi-writer event log, and
+#      the supervisor/counting suites whose stub classifiers run on pool
+#      lanes)
 #   3. A bench-snapshot smoke run (the perf harness still builds, runs,
 #      and emits parseable JSON)
 #   4. The layered overhead gate on an unsanitized Release build:
@@ -64,7 +66,7 @@ echo "== phase 1/10: address,undefined over the full suite =="
 run_suite "address,undefined" "${repo_root}/build-sanitize" "$@"
 
 echo "== phase 2/10: thread sanitizer over the concurrency tests =="
-run_suite "thread" "${repo_root}/build-tsan" -R '^(thread_pool|determinism|neighbor_grid|seeds/neighbor_grid[a-z_]*|telemetry|parity|container|fleet[a-z_]*|obs[a-z_]*)\.'
+run_suite "thread" "${repo_root}/build-tsan" -R '^(thread_pool|determinism|neighbor_grid|seeds/neighbor_grid[a-z_]*|telemetry|parity|container|fleet[a-z_]*|obs[a-z_]*|supervisor|chaos_soak|fault_injection|crowd_counter_test|multiplicity)\.'
 
 echo "== phase 3/10: bench snapshot smoke =="
 smoke_build="${repo_root}/build-sanitize"

@@ -43,8 +43,6 @@ public:
 
     bool is_human(const point_cloud& cluster, rng& random) const override;
     std::string name() const override { return "AutoEncoder"; }
-    // is_human uses the const infer path and per-call rngs only.
-    bool thread_safe() const override { return true; }
 
     /// The encoder+head classification network (decoder excluded).
     sequential& network() { return classifier_; }

@@ -16,15 +16,13 @@ public:
     virtual ~human_classifier() = default;
 
     /// True if the cluster is classified as a person. `random` feeds the
-    /// stochastic up-sampling step where applicable.
+    /// stochastic up-sampling step where applicable. Called concurrently
+    /// from pool lanes, each with its own rng: any per-call randomness
+    /// must come from `random`, and any shared mutable state must be
+    /// synchronized.
     virtual bool is_human(const point_cloud& cluster, rng& random) const = 0;
 
     virtual std::string name() const = 0;
-
-    /// True when is_human may run concurrently from several threads,
-    /// each with its own rng. Classifiers with mutable per-call state
-    /// keep the default false and the counting loops stay sequential.
-    virtual bool thread_safe() const { return false; }
 };
 
 }  // namespace hawc

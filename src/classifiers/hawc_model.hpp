@@ -39,8 +39,6 @@ public:
 
     bool is_human(const point_cloud& cluster, rng& random) const override;
     std::string name() const override { return "HAWC"; }
-    // is_human uses the const infer path and per-call rngs only.
-    bool thread_safe() const override { return true; }
 
     sequential& network() { return network_; }
     const cnn_feature_extractor& extractor() const { return extractor_; }

@@ -33,8 +33,6 @@ public:
 
     bool is_human(const point_cloud& cluster, rng& random) const override;
     std::string name() const override { return "OC-SVM"; }
-    // Decision evaluation is pure over the trained model state.
-    bool thread_safe() const override { return true; }
 
     std::size_t support_vector_count() const;
     bool trained() const { return !alphas_.empty(); }

@@ -51,8 +51,6 @@ public:
 
     bool is_human(const point_cloud& cluster, rng& random) const override;
     std::string name() const override { return "PointNet"; }
-    // is_human uses the const infer path and per-call rngs only.
-    bool thread_safe() const override { return true; }
 
     sequential& network() { return network_; }
     std::size_t parameter_count() const { return network_.parameter_count(); }

@@ -38,8 +38,6 @@ public:
     }
 
     std::string name() const override { return name_; }
-    // quantized_model::forward is const and stateless per call.
-    bool thread_safe() const override { return true; }
     const quantized_model& model() const { return model_; }
 
     eval_metrics evaluate(const cluster_dataset& data, rng& random) const {

@@ -71,14 +71,15 @@ public:
     /// Cumulative top-level parallel_for calls that arrived while another
     /// caller already held lanes busy (they serialised on the job lock).
     /// A rising rate means independent pipelines are contending for the
-    /// pool — the fleet layer's backpressure signal for load shedding.
+    /// pool.
     std::uint64_t contended_dispatches() const {
         return contended_.load(std::memory_order_relaxed);
     }
 
     /// active_lanes() / thread_count(): instantaneous fraction of lanes
-    /// busy, in [0, 1]. Racy-by-nature, meant for gauges and shedding
-    /// heuristics, not for synchronisation.
+    /// busy, in [0, 1]. Racy by nature and wall-clock dependent: meant
+    /// for gauges and profiling, never for a decision on a replayable
+    /// path (the fleet runs on tick time only).
     double utilization() const {
         return static_cast<double>(active_lanes()) / static_cast<double>(lanes_);
     }

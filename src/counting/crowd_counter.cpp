@@ -12,20 +12,6 @@
 
 namespace hawc {
 
-namespace {
-
-void publish_cluster_metrics(const telemetry_handle& telem, const cluster_count_result& r) {
-    if (telem.metrics == nullptr) return;
-    telem.metrics
-        ->make_counter("hawc_clusters_examined_total", "Clusters put through the classifier")
-        .add(r.examined);
-    telem.metrics
-        ->make_counter("hawc_clusters_human_total", "Clusters (incl. multiplicity) counted human")
-        .add(r.count);
-}
-
-}  // namespace
-
 crowd_counter::crowd_counter(const capture_config& config, const human_classifier& classifier)
     : config_{config}, classifier_{&classifier} {}
 
@@ -85,32 +71,11 @@ std::size_t crowd_counter::count_one(const point_cloud& cluster, rng& random) co
 cluster_count_result crowd_counter::count_clusters(std::span<const point_cloud> clusters,
                                                    rng& random, const deadline& time_budget,
                                                    const telemetry_handle& telem) const {
-    cluster_count_result result;
-
-    if (!classifier_->thread_safe()) {
-        // Single-stream sequential loop: classifiers with mutable
-        // per-call state (e.g. the chaos-injection wrapper) consume one
-        // shared rng in cluster order, exactly as the pre-pool pipeline.
-        for (const auto& cluster : clusters) {
-            if (cluster.size() < config_.min_cluster_points) continue;
-            if (time_budget.expired()) {
-                result.truncated = true;
-                break;
-            }
-            ++result.examined;
-            telemetry::scoped_span span{telem, "classify_cluster"};
-            result.count += count_one(cluster, random);
-        }
-        publish_cluster_metrics(telem, result);
-        return result;
-    }
-
     // Parallel fan-out. The forked streams are drawn sequentially before
     // any worker starts, so which rng a cluster sees never depends on
     // scheduling; with the deadline unarmed (or unexpired) the outcome is
     // byte-identical for every pool size. Deadline expiry skips whole
-    // clusters, mirroring the sequential loop's skip-the-rest semantics,
-    // and any skipped cluster flags the frame truncated.
+    // clusters, and any skipped cluster flags the frame truncated.
     std::vector<const point_cloud*> eligible;
     eligible.reserve(clusters.size());
     for (const auto& cluster : clusters) {
@@ -137,6 +102,7 @@ cluster_count_result crowd_counter::count_clusters(std::span<const point_cloud> 
                                    }
                                });
 
+    cluster_count_result result;
     for (const auto& item : items) {
         if (item.skipped) {
             result.truncated = true;
@@ -145,7 +111,15 @@ cluster_count_result crowd_counter::count_clusters(std::span<const point_cloud> 
         ++result.examined;
         result.count += item.count;
     }
-    publish_cluster_metrics(telem, result);
+    if (telem.metrics != nullptr) {
+        telem.metrics
+            ->make_counter("hawc_clusters_examined_total", "Clusters put through the classifier")
+            .add(result.examined);
+        telem.metrics
+            ->make_counter("hawc_clusters_human_total",
+                           "Clusters (incl. multiplicity) counted human")
+            .add(result.count);
+    }
     return result;
 }
 

@@ -65,11 +65,10 @@ public:
     /// fallback policy. When `time_budget` is armed and expires, the
     /// remaining clusters are skipped and the result is flagged truncated.
     ///
-    /// When the classifier reports thread_safe(), clusters fan out across
-    /// the global pool, each on its own forked rng stream; the streams
-    /// and the reduction order are fixed before any worker runs, so the
-    /// result is identical for every thread count (including one).
-    /// Non-thread-safe classifiers keep the sequential single-stream loop.
+    /// Clusters fan out across the global pool, each on its own forked
+    /// rng stream; the streams and the reduction order are fixed before
+    /// any worker runs, so the result is identical for every thread
+    /// count (including one).
     ///
     /// With a telemetry handle, each examined cluster emits a
     /// "classify_cluster" span under `telem.parent` (workers record into

@@ -58,8 +58,6 @@ fleet_manager::fleet_manager(const fleet_config& config,
     included_gauge_ = &metrics_.make_gauge("hawc_fleet_included_poles",
                                            "Poles contributing to the aggregate");
     ticks_counter_ = &metrics_.make_counter("hawc_fleet_ticks_total", "Fleet ticks run");
-    shed_ticks_counter_ = &metrics_.make_counter(
-        "hawc_fleet_shed_ticks_total", "Ticks run with a halved budget (backpressure)");
     frames_shed_counter_ = &metrics_.make_counter(
         "hawc_fleet_frames_shed_total", "Frames evicted from pole inboxes on overflow");
 
@@ -117,16 +115,6 @@ void fleet_manager::tick() {
     ++tick_;
     ticks_counter_->add(1);
 
-    // Backpressure: sample once per tick, before the fan-out, so every
-    // pole sees the same budget and the tick stays deterministic.
-    const double utilization = probe_ ? probe_() : global_pool().utilization();
-    std::size_t budget = config_.frames_per_tick;
-    if (utilization >= config_.shed_at_utilization) {
-        budget = std::max<std::size_t>(1, budget / 2);
-        ++shed_ticks_;
-        shed_ticks_counter_->add(1);
-    }
-
     // Each pole's tick touches only that pole's state; chunk boundaries
     // don't matter for the result, so this is bit-identical for any
     // thread count (the thread_pool contract).
@@ -134,7 +122,7 @@ void fleet_manager::tick() {
     global_pool().parallel_for(0, poles_.size(), 1,
                                [&](std::size_t lo, std::size_t hi, std::size_t) {
                                    for (std::size_t i = lo; i < hi; ++i) {
-                                       poles_[i]->run_tick(now, budget);
+                                       poles_[i]->run_tick(now, config_.frames_per_tick);
                                    }
                                });
 

@@ -3,16 +3,14 @@
 // The fleet runtime: N pole fault domains multiplexed over the global
 // thread_pool, one deterministic tick at a time. Each tick the manager
 //
-//   1. samples backpressure (pool utilization by default, injectable for
-//      tests) and halves the per-pole frame budget when saturated,
-//   2. runs every pole's run_tick in parallel — poles touch only their
+//   1. runs every pole's run_tick in parallel — poles touch only their
 //      own state, so results are bit-identical for any thread count,
-//   3. walks the fleet degradation ladder per pole
+//   2. walks the fleet degradation ladder per pole
 //        live        fresh count within stale_after_ticks
 //        stale_count last good count within exclude_after_ticks
 //        excluded    nothing recent enough to serve
 //      mirroring the per-frame ladder inside each supervisor,
-//   4. publishes the aggregate + per-pole occupancy through the seqlock
+//   3. publishes the aggregate + per-pole occupancy through the seqlock
 //      board, and mirrors per-pole labeled metrics (`@pole=<id>`) into
 //      the fleet registry for the Prometheus/JSON exporters.
 //
@@ -21,7 +19,6 @@
 // makes chaos soaks replayable bit for bit.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -38,9 +35,8 @@
 namespace hawc::fleet {
 
 /// Everything one pole needs. The classifier pointers follow
-/// frame_supervisor's lifetime rules (must outlive the fleet); give each
-/// pole its own wrapper when the classifier is not thread_safe() —
-/// poles run concurrently.
+/// frame_supervisor's lifetime rules (must outlive the fleet); poles run
+/// concurrently, so one classifier may serve several of them.
 struct pole_setup {
     std::string pole_id;
     std::uint64_t seed = 1;  // frame-stream base seed (= corpus base_seed)
@@ -63,10 +59,6 @@ struct fleet_config {
     std::size_t max_inbox = 8;
     /// Frames each pole may process per tick.
     std::size_t frames_per_tick = 4;
-    /// Load shedding: when the backpressure probe reports utilization at
-    /// or above this fraction at the start of a tick, the frame budget is
-    /// halved for that tick. > 1 disables.
-    double shed_at_utilization = 1.1;
 };
 
 class fleet_manager {
@@ -94,16 +86,9 @@ public:
     occupancy_snapshot snapshot() const { return board_.read(); }
 
     const fleet_config& config() const { return config_; }
-    std::uint64_t shed_ticks() const { return shed_ticks_; }
 
     telemetry::metrics_registry& metrics() { return metrics_; }
     const telemetry::metrics_registry& metrics() const { return metrics_; }
-
-    /// Replace the backpressure probe (defaults to the global pool's
-    /// utilization()). Tests inject constants to pin shedding behaviour.
-    void set_backpressure_probe(std::function<double()> probe) {
-        probe_ = std::move(probe);
-    }
 
     /// Route every pole's events into `log` (which must outlive the
     /// fleet) and advance its rate-limiter buckets once per tick.
@@ -153,15 +138,12 @@ private:
     std::vector<pole_rung> rungs_;
     occupancy_board board_;
     std::uint64_t tick_ = 0;
-    std::uint64_t shed_ticks_ = 0;
-    std::function<double()> probe_;
 
     telemetry::metrics_registry metrics_;
     std::vector<pole_metrics> pole_metrics_;
     telemetry::gauge* aggregate_gauge_ = nullptr;
     telemetry::gauge* included_gauge_ = nullptr;
     telemetry::counter* ticks_counter_ = nullptr;
-    telemetry::counter* shed_ticks_counter_ = nullptr;
     telemetry::counter* frames_shed_counter_ = nullptr;
     std::uint64_t frames_shed_seen_ = 0;
 

@@ -23,7 +23,6 @@ void write_carry(replay::byte_writer& w, const supervisor_carry& carry) {
     w.u8(carry.has_last_good ? 1 : 0);
     w.u64(carry.last_good_count);
     w.u64(carry.stale_streak);
-    w.u64(carry.good_streak);
 }
 
 supervisor_carry read_carry(replay::byte_reader& r) {
@@ -31,7 +30,6 @@ supervisor_carry read_carry(replay::byte_reader& r) {
     carry.has_last_good = r.u8() != 0;
     carry.last_good_count = r.u64();
     carry.stale_streak = r.u64();
-    carry.good_streak = r.u64();
     return carry;
 }
 
@@ -63,7 +61,8 @@ void save_postmortem(std::ostream& out, const postmortem_bundle& bundle) {
 postmortem_bundle load_postmortem(std::istream& in) {
     const replay::envelope env =
         replay::read_envelope(in, postmortem_magic, postmortem_version, "postmortem bundle");
-    // Version 1 laid frames out differently; no reader for it is kept.
+    // Versions 1 and 2 laid frames out differently; no reader for them
+    // is kept.
     if (env.version != postmortem_version) {
         throw io_error{"postmortem bundle: unsupported format version " +
                        std::to_string(env.version)};

@@ -35,7 +35,7 @@
 namespace hawc::obs {
 
 inline constexpr std::uint32_t postmortem_magic = 0x4d505748;  // "HWPM"
-inline constexpr std::uint16_t postmortem_version = 2;
+inline constexpr std::uint16_t postmortem_version = 3;
 
 enum class dump_trigger : std::uint8_t {
     manual = 0,

@@ -131,8 +131,8 @@ std::uint64_t fault_injector::total_injected() const {
 }
 
 bool flaky_classifier::is_human(const point_cloud& cluster, rng& random) const {
-    if (chaos_.chance(failure_probability_)) {
-        ++faults_;
+    if (random.chance(failure_probability_)) {
+        faults_.fetch_add(1, std::memory_order_relaxed);
         throw data_integrity_error{"injected classifier fault"};
     }
     return inner_->is_human(cluster, random);

@@ -11,6 +11,7 @@
 // injected so soak tests can correlate faults with supervisor reactions.
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 
 #include "classifiers/classifier.hpp"
@@ -73,25 +74,23 @@ private:
 /// Chaos wrapper for classifier-level faults: forwards to `inner` but
 /// throws data_integrity_error with the given probability, standing in
 /// for sporadic dequantization/validation failures. Exercises the
-/// supervisor's float-model fallback rung in soak tests.
+/// supervisor's float-model fallback rung in soak tests. Each fault is
+/// drawn from the per-call `random` stream, so a schedule is fixed by
+/// the frame's forked streams and is the same on any pool size.
 class flaky_classifier final : public human_classifier {
 public:
-    flaky_classifier(const human_classifier& inner, double failure_probability,
-                     std::uint64_t seed)
-        : inner_{&inner}, failure_probability_{failure_probability}, chaos_{seed} {}
+    flaky_classifier(const human_classifier& inner, double failure_probability)
+        : inner_{&inner}, failure_probability_{failure_probability} {}
 
     bool is_human(const point_cloud& cluster, rng& random) const override;
     std::string name() const override { return "Flaky[" + inner_->name() + "]"; }
-    // Inherits thread_safe() == false: the chaos rng is mutable per-call
-    // state, and a shared stream keeps fault schedules reproducible.
 
-    std::uint64_t faults_raised() const { return faults_; }
+    std::uint64_t faults_raised() const { return faults_.load(std::memory_order_relaxed); }
 
 private:
     const human_classifier* inner_;
     double failure_probability_;
-    mutable rng chaos_;
-    mutable std::uint64_t faults_ = 0;
+    mutable std::atomic<std::uint64_t> faults_{0};
 };
 
 }  // namespace hawc

@@ -5,6 +5,8 @@
 
 #include "clustering/adaptive_eps.hpp"
 #include "clustering/dbscan.hpp"
+#include "common/thread_pool.hpp"
+#include "nn/kernels/kernels.hpp"
 #include "pointcloud/neighbor_grid.hpp"
 #include "preprocess/ingest.hpp"
 
@@ -42,6 +44,11 @@ frame_supervisor::frame_supervisor(const supervisor_config& config,
                                    const human_classifier& primary,
                                    const human_classifier* fallback)
     : config_{config}, classifier_{primary, fallback}, counter_{config.capture, classifier_} {
+    // Resolve the process-wide kernel tier and pool now: a bad
+    // HAWC_KERNEL_ISA or HAWC_THREADS then fails construction instead of
+    // dropping every frame with the same error.
+    kernels::active_kernels();
+    global_pool();
     // Preallocate every hot-path metric once; process() then only touches
     // lock-free atomics through these pointers.
     rc_.frames_total = &metrics_.make_counter("hawc_frames_total", "Supervised frames processed");
@@ -109,7 +116,6 @@ void frame_supervisor::restart() {
     reset_health();
     last_good_count_ = 0;
     stale_streak_ = 0;
-    good_streak_ = 0;
     has_last_good_ = false;
 }
 
@@ -118,7 +124,6 @@ supervisor_carry frame_supervisor::carry() const {
     c.has_last_good = has_last_good_;
     c.last_good_count = last_good_count_;
     c.stale_streak = stale_streak_;
-    c.good_streak = good_streak_;
     return c;
 }
 
@@ -126,7 +131,6 @@ void frame_supervisor::restore_carry(const supervisor_carry& carry) {
     has_last_good_ = carry.has_last_good;
     last_good_count_ = static_cast<std::size_t>(carry.last_good_count);
     stale_streak_ = static_cast<std::size_t>(carry.stale_streak);
-    good_streak_ = static_cast<std::size_t>(carry.good_streak);
 }
 
 void frame_supervisor::emit(telemetry::event ev) const {
@@ -368,7 +372,6 @@ frame_report frame_supervisor::process(const point_cloud& raw, rng& random) {
 
     // ---- Stale-count rung: bounded carry-forward for dropped frames ----
     if (report.status == frame_status::dropped) {
-        good_streak_ = 0;
         if (has_last_good_ && stale_streak_ < config_.max_stale_frames) {
             ++stale_streak_;
             report.count = last_good_count_;
@@ -399,13 +402,9 @@ frame_report frame_supervisor::process(const point_cloud& raw, rng& random) {
             emit(ev);
         }
     } else {
-        // The freshest good count is always carried forward, but the
-        // staleness budget only refills after a genuine recovery streak —
-        // alternating good/dead frames keep draining it (hysteresis).
         last_good_count_ = report.count;
         has_last_good_ = true;
-        ++good_streak_;
-        if (good_streak_ >= config_.recovery_streak_frames) stale_streak_ = 0;
+        stale_streak_ = 0;
     }
 
     // ---- Health accounting ----

@@ -44,12 +44,6 @@ public:
     bool is_human(const point_cloud& cluster, rng& random) const override;
     std::string name() const override;
 
-    /// Safe whenever both wrapped classifiers are: the adapter itself
-    /// only touches its atomic rescue counter.
-    bool thread_safe() const override {
-        return primary_->thread_safe() && (fallback_ == nullptr || fallback_->thread_safe());
-    }
-
     std::uint64_t fallback_activations() const { return fallbacks_.load(std::memory_order_relaxed); }
 
 private:
@@ -88,16 +82,9 @@ struct supervisor_config {
     double fallback_eps = 0.35;
 
     /// Staleness cap: at most this many consecutive dropped frames are
-    /// answered with the last good count before admitting zero.
+    /// answered with the last good count before admitting zero. Any
+    /// non-dropped frame refills the budget.
     std::size_t max_stale_frames = 5;
-
-    /// Ladder hysteresis: consecutive non-dropped frames required before
-    /// the staleness budget above resets. At the default of 1 every good
-    /// frame refills the budget (the pre-fleet behaviour); raising it
-    /// stops an alternating good/dead fault pattern from being answered
-    /// stale forever — the budget keeps draining across the flaps until a
-    /// genuine recovery streak arrives.
-    std::size_t recovery_streak_frames = 1;
 };
 
 /// `config` with the three watchdog deadlines off, for every run whose
@@ -115,7 +102,6 @@ struct supervisor_carry {
     bool has_last_good = false;
     std::uint64_t last_good_count = 0;
     std::uint64_t stale_streak = 0;
-    std::uint64_t good_streak = 0;
 
     bool operator==(const supervisor_carry&) const = default;
 };
@@ -158,7 +144,7 @@ public:
     void reset_health();
 
     /// Watchdog restart: reset_health() plus the carry-forward state (the
-    /// stale-count rung's last good count and both streak counters). A
+    /// stale-count rung's last good count and its stale streak). A
     /// restarted supervisor serves no stale data from before its restart.
     void restart();
 
@@ -241,7 +227,6 @@ private:
 
     std::size_t last_good_count_ = 0;
     std::size_t stale_streak_ = 0;
-    std::size_t good_streak_ = 0;
     bool has_last_good_ = false;
 };
 

@@ -24,9 +24,8 @@ namespace hawc {
 namespace {
 
 // Cheap deterministic classifier (no CNN training in unit tests):
-// humans are tall-ish, compact clusters. Stateless, so physically safe
-// to share across poles even though thread_safe() stays false (which
-// keeps cluster classification sequential — required for parity).
+// humans are tall-ish, compact clusters. Stateless, so safe to share
+// across poles.
 class extent_classifier final : public human_classifier {
 public:
     bool is_human(const point_cloud& cluster, rng&) const override {
@@ -495,7 +494,7 @@ TEST(fleet_watchdog, link_duplicates_are_suppressed_once_processed) {
     EXPECT_EQ(pole.supervisor().health().frames_total, 5u);
 }
 
-// --- fleet manager: ladder, parity, backpressure ---
+// --- fleet manager: ladder, parity, inbox overflow ---
 
 TEST(fleet, ladder_walks_live_stale_excluded_as_a_pole_goes_quiet) {
     const extent_classifier classifier;
@@ -563,10 +562,9 @@ TEST(fleet, healthy_poles_bit_identical_to_solo_replay) {
         set.poles.push_back(std::move(pc));
     }
 
-    // Pole 1 suffers a nasty link and a flaky classifier (its own
-    // wrapper: flaky_classifier is not thread_safe, and poles run
-    // concurrently). Poles 0 and 2 are healthy.
-    const flaky_classifier flaky{classifier, 0.3, 999};
+    // Pole 1 suffers a nasty link and a flaky classifier. Poles 0 and 2
+    // are healthy.
+    const flaky_classifier flaky{classifier, 0.3};
     std::vector<fleet::pole_setup> setups(3);
     for (std::size_t i = 0; i < 3; ++i) {
         setups[i].pole_id = set.poles[i].pole_id;
@@ -635,7 +633,7 @@ TEST(fleet, tick_results_identical_across_thread_counts) {
     set_global_thread_count(4);
 }
 
-TEST(fleet, backpressure_probe_halves_budget_and_inbox_overflow_sheds) {
+TEST(fleet, inbox_overflow_sheds_oldest) {
     const extent_classifier classifier;
     std::vector<fleet::pole_setup> setups(1);
     setups[0].pole_id = "p0";
@@ -644,24 +642,21 @@ TEST(fleet, backpressure_probe_halves_budget_and_inbox_overflow_sheds) {
     setups[0].primary = &classifier;
 
     fleet::fleet_config cfg;
-    cfg.frames_per_tick = 2;
+    cfg.frames_per_tick = 1;
     cfg.max_inbox = 2;
-    cfg.shed_at_utilization = 0.9;
     fleet::fleet_manager fleet{cfg, setups};
-    fleet.set_backpressure_probe([] { return 1.0; });  // saturated pool
 
     const auto corpus = synth_corpus(800, 20);
-    // Submit 4 frames per tick into budget 1 (halved from 2) and inbox 2:
-    // overflow must shed the oldest, not block or corrupt.
+    // Submit 4 frames per tick into budget 1 and inbox 2: overflow must
+    // shed the oldest, not block or corrupt.
     for (std::size_t f = 0; f + 4 <= 20; f += 4) {
         for (std::size_t k = 0; k < 4; ++k) fleet.submit(0, corpus_message(corpus, f + k));
         fleet.tick();
     }
-    EXPECT_EQ(fleet.shed_ticks(), 5u);
-    EXPECT_GT(fleet.pole(0).stats().shed_inbox_overflow, 0u);
+    const std::uint64_t shed = fleet.pole(0).stats().shed_inbox_overflow;
+    EXPECT_GT(shed, 0u);
     EXPECT_GT(fleet.pole(0).stats().processed, 0u);
-    EXPECT_EQ(fleet.metrics().find_counter("hawc_fleet_shed_ticks_total")->value(), 5u);
-    EXPECT_GT(fleet.metrics().find_counter("hawc_fleet_frames_shed_total")->value(), 0u);
+    EXPECT_EQ(fleet.metrics().find_counter("hawc_fleet_frames_shed_total")->value(), shed);
 }
 
 TEST(fleet, per_pole_metrics_are_labeled_and_scrapeable) {
@@ -710,9 +705,9 @@ TEST(fleet_chaos, multi_pole_soak_isolates_fault_domains) {
     corpora.reserve(poles);
     for (std::size_t i = 0; i < poles; ++i) corpora.push_back(synth_corpus(3000 + i, frames));
 
-    // Per-pole flaky wrappers (not thread_safe -> never shared).
-    const flaky_classifier flaky5{classifier, 0.1, 55};
-    const flaky_classifier flaky7{classifier, 0.2, 77};
+    // Flaky classifiers on poles 5 and 7.
+    const flaky_classifier flaky5{classifier, 0.1};
+    const flaky_classifier flaky7{classifier, 0.2};
 
     std::vector<fleet::pole_setup> setups(poles);
     for (std::size_t i = 0; i < poles; ++i) {

@@ -600,11 +600,13 @@ TEST(obs_recorder, corrupted_bundle_is_rejected) {
     std::stringstream truncated{good.str().substr(0, good.str().size() - 3)};
     EXPECT_THROW(obs::load_postmortem(truncated), io_error);
 
-    std::string v1 = good.str();  // stamped version 1: that layout has no reader
-    const std::uint16_t version = 1;
-    std::memcpy(v1.data() + 4, &version, sizeof(version));
-    std::stringstream old{v1};
-    EXPECT_THROW(obs::load_postmortem(old), io_error);
+    // Versions 1 and 2 laid frames out differently; neither has a reader.
+    for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
+        std::string stamped = good.str();
+        std::memcpy(stamped.data() + 4, &version, sizeof(version));
+        std::stringstream old{stamped};
+        EXPECT_THROW(obs::load_postmortem(old), io_error) << "version " << version;
+    }
 }
 
 TEST(obs_recorder, pending_dump_cap_drops_excess) {
@@ -717,7 +719,6 @@ TEST(obs_drill, fleet_quarantine_produces_replayable_bundle_and_alert_cycle) {
     cfg.stale_after_ticks = 3;
     cfg.exclude_after_ticks = 6;
     fleet::fleet_manager fleet{cfg, setups};
-    fleet.set_backpressure_probe([] { return 0.0; });
 
     obs::event_log log{{.capacity = 512, .tokens_per_tick = 16.0, .burst = 64.0}};
     log.bind_metrics(fleet.metrics());

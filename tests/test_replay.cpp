@@ -62,7 +62,6 @@ public:
         return cluster.size() >= min_points_;
     }
     std::string name() const override { return "size-threshold"; }
-    bool thread_safe() const override { return true; }
 
 private:
     std::size_t min_points_;

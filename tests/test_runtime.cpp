@@ -247,37 +247,6 @@ TEST(supervisor, health_epoch_makes_progress_monotonic_across_restarts) {
     EXPECT_NE(fresh.health().to_json().find("\"epoch\":1"), std::string::npos);
 }
 
-TEST(supervisor, recovery_streak_hysteresis_drains_budget_while_flapping) {
-    const extent_classifier classifier;
-    supervisor_config cfg;
-    cfg.max_stale_frames = 2;
-    cfg.recovery_streak_frames = 2;  // one good frame is not a recovery
-    frame_supervisor sup{cfg, classifier};
-    rng r{20};
-    point_cloud dead;
-
-    ASSERT_EQ(sup.process(synth_frame(r, 2), r).status, frame_status::ok);
-
-    // Alternating dead/good frames never build a 2-frame good streak, so
-    // the staleness budget keeps draining instead of refilling.
-    EXPECT_TRUE(sup.process(dead, r).served_stale);                       // 1 of 2
-    EXPECT_EQ(sup.process(synth_frame(r, 1), r).status, frame_status::ok);
-    EXPECT_TRUE(sup.process(dead, r).served_stale);                       // 2 of 2
-    EXPECT_EQ(sup.process(synth_frame(r, 1), r).status, frame_status::ok);
-    const frame_report exhausted = sup.process(dead, r);
-    EXPECT_FALSE(exhausted.served_stale) << "flapping must not refill the budget";
-    EXPECT_EQ(sup.health().stale_cap_exhausted, 1u);
-
-    // Two consecutive good frames are a genuine recovery: budget refills.
-    sup.process(synth_frame(r, 1), r);
-    sup.process(synth_frame(r, 1), r);
-    EXPECT_TRUE(sup.process(dead, r).served_stale);
-
-    // The default config keeps the legacy single-frame refill.
-    supervisor_config legacy;
-    EXPECT_EQ(legacy.recovery_streak_frames, 1u);
-}
-
 // --- Watchdog: classification budget ---
 
 TEST(supervisor, classification_deadline_truncates_cluster_loop) {
@@ -381,7 +350,7 @@ TEST(fault_injection, each_kind_has_its_signature) {
 
 TEST(fault_injection, flaky_classifier_throws_at_configured_rate) {
     const extent_classifier inner;
-    const flaky_classifier flaky{inner, 0.5, 99};
+    const flaky_classifier flaky{inner, 0.5};
     rng r{25};
     const point_cloud cluster{{{20.0, 0.0, -2.0}, {20.0, 0.0, -1.0}}};
     std::size_t threw = 0;
@@ -408,7 +377,7 @@ TEST(chaos_soak, ten_thousand_injected_frames) {
     const extent_classifier model;
     // Primary occasionally faults like a corrupted quantized model would;
     // the fp32 stand-in rescues those clusters.
-    const flaky_classifier primary{model, 0.02, 4242};
+    const flaky_classifier primary{model, 0.02};
 
     supervisor_config cfg;
     // Chaos posture: tight eps ceiling so noise-flooded frames pin the

@@ -1,8 +1,9 @@
 // Determinism tests for the parallel frame engine: parallel_for's
 // partitioning contract, and byte-identical results across thread counts
 // for every kernel that fans out over the global pool (DBSCAN, the k-NN
-// elbow curve, height variation, CNN inference, end-to-end counting and
-// the fault-injected supervisor soak).
+// elbow curve, height variation, CNN inference, the classification
+// fan-out with stub and flaky classifiers, end-to-end counting and the
+// fault-injected supervisor soak).
 
 #include <gtest/gtest.h>
 
@@ -306,13 +307,116 @@ TEST(determinism, end_to_end_count_identical) {
     }
 }
 
+// --- Classification fan-out under the pool ---
+//
+// Every classifier runs through crowd_counter's forked-stream fan-out, so
+// stub and chaos classifiers must give the same outcome on any lane count,
+// including on merged clusters whose k-means split draws from the stream.
+
+/// Stateless stub whose answer depends on the per-call stream as well as
+/// the geometry, so a stream handed to the wrong cluster shows up.
+class coin_extent_classifier final : public human_classifier {
+public:
+    bool is_human(const point_cloud& cluster, rng& random) const override {
+        if (cluster.empty()) return false;
+        return cluster.bounds().size().z > 0.7 && random.chance(0.8);
+    }
+    std::string name() const override { return "CoinExtent"; }
+};
+
+/// `people` person-sized blobs 0.5 m apart in a row: one merged cluster
+/// wider than any single person.
+void add_group(point_cloud& cloud, rng& r, double x, double y, std::size_t people) {
+    for (std::size_t p = 0; p < people; ++p) {
+        const double fx = x + 0.5 * static_cast<double>(p);
+        for (int i = 0; i < 120; ++i) {
+            cloud.push_back({fx + r.normal(0.0, 0.1), y + r.normal(0.0, 0.1),
+                             -2.9 + r.uniform() * 1.7});
+        }
+    }
+}
+
+TEST(determinism, stub_classifier_fanout_identical_with_kmeans_split) {
+    pool_guard guard;
+    const coin_extent_classifier stub;
+    capture_config capture;
+    capture.min_cluster_points = 20;
+    const crowd_counter counter{capture, stub};
+
+    rng scene{110};
+    std::vector<point_cloud> clusters;
+    for (std::size_t i = 0; i < 6; ++i) {
+        point_cloud single;
+        add_group(single, scene, 14.0 + 3.0 * static_cast<double>(i), 0.0, 1);
+        clusters.push_back(std::move(single));
+    }
+    point_cloud merged;
+    add_group(merged, scene, 20.0, 1.5, 5);
+    ASSERT_GT(estimate_multiplicity(merged, counter.multiplicity()), 1u)
+        << "the merged cluster must take the k-means split";
+    clusters.push_back(std::move(merged));
+
+    set_global_thread_count(1);
+    rng ref_rng{111};
+    const cluster_count_result reference = counter.count_clusters(clusters, ref_rng);
+    EXPECT_EQ(reference.examined, clusters.size());
+    EXPECT_GT(reference.count, 0u);
+    for (std::size_t threads : sweep_counts()) {
+        set_global_thread_count(threads);
+        rng r{111};
+        const cluster_count_result got = counter.count_clusters(clusters, r);
+        EXPECT_EQ(got.count, reference.count) << "at " << threads << " threads";
+        EXPECT_EQ(got.examined, reference.examined) << "at " << threads << " threads";
+        EXPECT_EQ(got.truncated, reference.truncated) << "at " << threads << " threads";
+    }
+}
+
+TEST(determinism, flaky_classifier_faults_and_counts_identical) {
+    pool_guard guard;
+    constexpr std::size_t frames = 40;
+    const extent_classifier_for_soak model;
+
+    struct run_outcome {
+        std::vector<std::size_t> counts;
+        std::uint64_t faults = 0;
+        std::uint64_t rescues = 0;
+    };
+    const auto run = [&] {
+        const flaky_classifier primary{model, 0.2};
+        frame_supervisor sup{without_deadlines({}), primary, &model};
+        rng scene_rng{112};
+        rng pipeline_rng{113};
+        run_outcome out;
+        for (std::size_t i = 0; i < frames; ++i) {
+            point_cloud frame = synth_frame(scene_rng, 3);
+            add_group(frame, scene_rng, 24.0, 2.0, 4);
+            out.counts.push_back(sup.process(frame, pipeline_rng).count);
+        }
+        out.faults = primary.faults_raised();
+        out.rescues = sup.health().float_model_fallbacks;
+        return out;
+    };
+
+    set_global_thread_count(1);
+    const run_outcome reference = run();
+    EXPECT_GT(reference.faults, 0u);
+    EXPECT_EQ(reference.rescues, reference.faults) << "the fallback rescues every fault";
+    for (std::size_t threads : sweep_counts()) {
+        set_global_thread_count(threads);
+        const run_outcome got = run();
+        EXPECT_EQ(got.faults, reference.faults) << "at " << threads << " threads";
+        EXPECT_EQ(got.rescues, reference.rescues) << "at " << threads << " threads";
+        ASSERT_EQ(got.counts, reference.counts) << "at " << threads << " threads";
+    }
+}
+
 // --- Chaos soak under the pool ---
 //
 // A shortened rerun of the runtime chaos soak at several pool sizes: the
 // per-frame outcomes must not depend on the thread count (the flaky
-// classifier keeps the sequential counting path; the parallel clustering
-// kernels underneath must be invisible), and the degradation ladder must
-// still fire.
+// classifier draws its faults from the per-cluster forked streams, and
+// the parallel clustering kernels underneath must be invisible), and the
+// degradation ladder must still fire.
 
 TEST(determinism, chaos_soak_outcomes_identical_and_ladder_fires) {
     pool_guard guard;
@@ -327,7 +431,7 @@ TEST(determinism, chaos_soak_outcomes_identical_and_ladder_fires) {
 
     const auto soak = [&] {
         const extent_classifier_for_soak model;
-        const flaky_classifier primary{model, 0.02, 4242};
+        const flaky_classifier primary{model, 0.02};
         supervisor_config cfg;
         cfg.capture.clustering.max_eps = 0.8;
         cfg.max_stale_frames = 4;
