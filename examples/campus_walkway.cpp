@@ -10,12 +10,19 @@
 
 #include "classifiers/hawc_model.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
+#include "nn/kernels/kernels.hpp"
 #include "runtime/supervisor.hpp"
 #include "sim/trajectory.hpp"
 
 using namespace hawc;
 
 int main() try {
+    // Resolve the kernel tier and the pool first: a bad HAWC_KERNEL_ISA or
+    // HAWC_THREADS fails here, before any dataset or training work.
+    kernels::active_kernels();
+    global_pool();
+
     // ---- Train a compact model (small dataset keeps the demo quick) ----
     std::cout << "Preparing the classifier...\n";
     single_person_dataset_config ds_cfg;

@@ -10,11 +10,18 @@
 #include <iostream>
 
 #include "classifiers/hawc_model.hpp"
+#include "common/thread_pool.hpp"
+#include "nn/kernels/kernels.hpp"
 #include "runtime/supervisor.hpp"
 
 using namespace hawc;
 
 int main(int argc, char** argv) try {
+    // Resolve the kernel tier and the pool first: a bad HAWC_KERNEL_ISA or
+    // HAWC_THREADS fails here, before any dataset or training work.
+    kernels::active_kernels();
+    global_pool();
+
     const bool tiny = argc > 1 && std::strcmp(argv[1], "--tiny") == 0;
 
     // ---- 1. Dataset ----

@@ -7,7 +7,8 @@
 #      contract, cross-thread-count determinism sweeps, parallel soak,
 #      the telemetry registry/span suite, the multi-writer event log, and
 #      the supervisor/counting suites whose stub classifiers run on pool
-#      lanes)
+#      lanes), then the pool-contract, determinism and parity tests
+#      repeated until one fails or 20 runs pass
 #   3. A bench-snapshot smoke run (the perf harness still builds, runs,
 #      and emits parseable JSON)
 #   4. The layered overhead gate on an unsanitized Release build:
@@ -67,6 +68,11 @@ run_suite "address,undefined" "${repo_root}/build-sanitize" "$@"
 
 echo "== phase 2/10: thread sanitizer over the concurrency tests =="
 run_suite "thread" "${repo_root}/build-tsan" -R '^(thread_pool|determinism|neighbor_grid|seeds/neighbor_grid[a-z_]*|telemetry|parity|container|fleet[a-z_]*|obs[a-z_]*|supervisor|chaos_soak|fault_injection|crowd_counter_test|multiplicity)\.'
+# The pool contract and the lane-count sweeps again, until one fails or
+# 20 runs pass: a lane-dependent output or a lost wake-up in the pool
+# shows up only on some runs.
+ctest --test-dir "${repo_root}/build-tsan" --output-on-failure -j "$(nproc)" \
+  --repeat until-fail:20 -R '^(thread_pool|determinism|parity)\.'
 
 echo "== phase 3/10: bench snapshot smoke =="
 smoke_build="${repo_root}/build-sanitize"

@@ -42,7 +42,7 @@ std::vector<double> knn_distance_curve(const neighbor_grid& grid, std::size_t k)
     // does not depend on the order its candidates were met in, so the
     // curve is identical for any thread count.
     global_pool().parallel_for(0, grid.size(), 64, [&](std::size_t lo, std::size_t hi,
-                                                       std::size_t /*slot*/) {
+                                                       std::size_t /*chunk*/) {
         std::vector<double> best;
         for (std::size_t i = lo; i < hi; ++i) {
             // k+1 because the query point itself is its own nearest.

@@ -14,7 +14,7 @@ namespace hawc {
 // Two-phase DBSCAN. Phase 1 computes every point's eps-neighbourhood and
 // core flag — grid radius queries are independent, so they fan out across
 // the thread pool, each chunk filling a list of its own, and land in one
-// CSR structure (chunks are contiguous and copied back in slot order, so
+// CSR structure (chunks are contiguous and copied back in chunk order, so
 // the CSR is byte-identical for any thread count). Phase 2 is the
 // sequential label expansion; it only walks the precomputed lists. Both
 // phases work on the grid's cell-order positions, which keeps each
@@ -38,10 +38,11 @@ cluster_result dbscan(const neighbor_grid& grid, double eps, std::size_t min_poi
     // ---- Phase 1: parallel neighbour lists + core flags (CSR) ----
     thread_pool& pool = global_pool();
     std::vector<std::uint32_t> counts(n, 0);
-    std::vector<std::vector<std::uint32_t>> chunk_lists(pool.max_slots());
+    constexpr std::size_t grain = 256;
+    std::vector<std::vector<std::uint32_t>> chunk_lists(chunk_count(n, grain));
 
-    pool.parallel_for(0, n, 256, [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-        // Appends go to a list on this lane's stack: the headers of
+    pool.parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
+        // Appends go to a list local to this chunk: the headers of
         // chunk_lists sit side by side, and growing them in place from
         // several lanes false-shares their cache lines.
         std::vector<std::uint32_t> local;
@@ -50,7 +51,7 @@ cluster_result dbscan(const neighbor_grid& grid, double eps, std::size_t min_poi
             grid.radius_into(grid.point(i), eps, local);
             counts[i] = static_cast<std::uint32_t>(local.size() - before);
         }
-        chunk_lists[slot] = std::move(local);
+        chunk_lists[chunk] = std::move(local);
     });
 
     std::vector<std::size_t> offsets(n + 1, 0);

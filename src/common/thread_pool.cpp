@@ -1,5 +1,6 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <condition_variable>
@@ -59,25 +60,35 @@ struct thread_pool::impl {
     const chunk_fn* body = nullptr;
     std::size_t job_begin = 0;
     std::size_t job_end = 0;
-    std::size_t chunk_count = 0;
-    std::size_t lanes = 1;
+    std::size_t grain = 1;
+    std::size_t chunks = 0;
+    std::atomic<std::size_t> next_chunk{0};  // the one counter every lane claims from
     std::size_t remaining = 0;
     std::exception_ptr first_error;
     bool stopping = false;
 
     std::vector<std::thread> workers;
 
-    void run_chunk(std::size_t slot) {
-        const std::size_t n = job_end - job_begin;
-        const std::size_t lo = job_begin + slot * n / chunk_count;
-        const std::size_t hi = job_begin + (slot + 1) * n / chunk_count;
-        if (lo >= hi) return;
+    // Claims chunk indices until none are left. A throwing chunk does not
+    // stop the lane: the rest of the range still runs, exactly once.
+    void run_chunks() {
+        std::size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
+        if (chunk >= chunks) return;
         region_guard guard;
         active_guard busy{&owner->active_};
-        (*body)(lo, hi, slot);
+        for (; chunk < chunks; chunk = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
+            const std::size_t lo = job_begin + chunk * grain;
+            const std::size_t hi = lo + std::min(grain, job_end - lo);
+            try {
+                (*body)(lo, hi, chunk);
+            } catch (...) {
+                std::lock_guard lock{state_mutex};
+                if (!first_error) first_error = std::current_exception();
+            }
+        }
     }
 
-    void worker_main(std::size_t lane) {
+    void worker_main() {
         std::uint64_t seen = 0;
         for (;;) {
             {
@@ -86,14 +97,7 @@ struct thread_pool::impl {
                 if (stopping) return;
                 seen = generation;
             }
-            if (lane < chunk_count) {
-                try {
-                    run_chunk(lane);
-                } catch (...) {
-                    std::lock_guard lock{state_mutex};
-                    if (!first_error) first_error = std::current_exception();
-                }
-            }
+            run_chunks();
             {
                 std::lock_guard lock{state_mutex};
                 --remaining;
@@ -108,10 +112,9 @@ thread_pool::thread_pool(std::size_t threads) {
     if (lanes_ == 1) return;
     impl_ = std::make_unique<impl>();
     impl_->owner = this;
-    impl_->lanes = lanes_;
     impl_->workers.reserve(lanes_ - 1);
     for (std::size_t lane = 1; lane < lanes_; ++lane) {
-        impl_->workers.emplace_back([this, lane] { impl_->worker_main(lane); });
+        impl_->workers.emplace_back([this] { impl_->worker_main(); });
     }
 }
 
@@ -128,13 +131,11 @@ thread_pool::~thread_pool() {
 void thread_pool::parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                                const chunk_fn& body) {
     if (begin >= end) return;
-    const std::size_t n = end - begin;
     if (grain == 0) grain = 1;
-    std::size_t chunks = (n + grain - 1) / grain;
-    if (chunks > lanes_) chunks = lanes_;
+    const std::size_t chunks = chunk_count(end - begin, grain);
 
-    // Single lane, a range too small to split, or a nested region: run
-    // the whole range inline as chunk 0.
+    // Single lane, a range of one grain, or a nested region: run the
+    // whole range inline as chunk 0.
     if (chunks <= 1 || impl_ == nullptr || in_parallel_region) {
         inline_runs_.fetch_add(1, std::memory_order_relaxed);
         active_guard busy{in_parallel_region ? nullptr : &active_};
@@ -153,20 +154,17 @@ void thread_pool::parallel_for(std::size_t begin, std::size_t end, std::size_t g
         impl_->body = &body;
         impl_->job_begin = begin;
         impl_->job_end = end;
-        impl_->chunk_count = chunks;
+        impl_->grain = grain;
+        impl_->chunks = chunks;
+        impl_->next_chunk.store(0, std::memory_order_relaxed);
         impl_->remaining = impl_->workers.size();
         impl_->first_error = nullptr;
         ++impl_->generation;
     }
     impl_->work_cv.notify_all();
 
-    // The calling thread is lane 0 and always owns chunk 0.
-    try {
-        impl_->run_chunk(0);
-    } catch (...) {
-        std::lock_guard lock{impl_->state_mutex};
-        if (!impl_->first_error) impl_->first_error = std::current_exception();
-    }
+    // The calling thread is lane 0 and claims chunks like any worker.
+    impl_->run_chunks();
 
     std::unique_lock lock{impl_->state_mutex};
     impl_->done_cv.wait(lock, [&] { return impl_->remaining == 0; });

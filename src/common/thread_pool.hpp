@@ -1,19 +1,24 @@
 #pragma once
 
 // Fixed-size worker pool with a deterministic parallel_for. The design
-// goal is bit-identical results for any thread count: parallel_for splits
-// [begin, end) into at most `max_slots()` contiguous chunks and hands the
-// body (chunk_begin, chunk_end, slot). Chunk boundaries depend only on
-// the range, the grain and the pool size, never on scheduling, and every
-// index is processed exactly once — so any per-index computation that
-// does not read its neighbours' output is reproducible by construction.
-// Order-dependent reductions must merge per-slot partials sequentially
-// by slot index (see DESIGN.md "Threading model").
+// goal is bit-identical results for any thread count: parallel_for cuts
+// [begin, end) into fixed chunks of `grain` indices (chunk c is
+// [begin + c*grain, min(end, begin + (c+1)*grain))) and every lane, the
+// caller included, claims the next chunk index from one shared counter
+// until none are left, so a lane that finishes early takes more work
+// instead of idling behind a slow one. Chunk boundaries depend only on
+// the range and the grain, never on the pool size or on scheduling; which
+// lane runs a chunk does. Every index is processed exactly once, so any
+// per-index computation that does not read its neighbours' output is
+// reproducible by construction. Per-chunk outputs must be keyed by the
+// chunk index (size them with chunk_count()) and merged sequentially in
+// chunk order (see DESIGN.md "Threading model").
 //
-// Nested parallel_for calls (a parallel region entered from inside a
-// worker) run inline on the calling thread: the inner region sees one
-// chunk, slot 0. This keeps per-cluster fan-out composable with the
-// parallel kernels underneath it without deadlock or oversubscription.
+// On a single-lane pool, for a range of at most one grain, and for nested
+// parallel_for calls (a parallel region entered from inside a worker),
+// the whole range runs inline on the calling thread as chunk 0. The
+// nested case keeps per-cluster fan-out composable with the parallel
+// kernels underneath it without deadlock or oversubscription.
 
 #include <atomic>
 #include <cstddef>
@@ -38,18 +43,16 @@ public:
     /// Total execution lanes (including the submitting thread).
     std::size_t thread_count() const { return lanes_; }
 
-    /// Upper bound on the `slot` argument passed to a parallel_for body;
-    /// size per-slot scratch arrays with this.
-    std::size_t max_slots() const { return lanes_; }
-
-    /// Body invoked as body(chunk_begin, chunk_end, slot). Chunks are
-    /// contiguous, disjoint, ordered by slot, and cover [begin, end).
+    /// Body invoked as body(chunk_begin, chunk_end, chunk). Chunks are
+    /// contiguous, disjoint, numbered in range order, and cover
+    /// [begin, end); `chunk` is below chunk_count(end - begin, grain).
     using chunk_fn = std::function<void(std::size_t, std::size_t, std::size_t)>;
 
-    /// Run `body` over [begin, end) split into at most thread_count()
-    /// chunks of at least `grain` indices each (the last chunk may be
-    /// smaller when the range is). Blocks until every chunk finished;
-    /// the first exception thrown by any chunk is rethrown here.
+    /// Run `body` over [begin, end) in chunks of `grain` indices (the last
+    /// one may be shorter; grain 0 is treated as 1), each claimed by
+    /// whichever lane is free next, or over the whole range inline as
+    /// chunk 0 (see the file comment). Blocks until every chunk finished;
+    /// the first exception caught from any chunk is rethrown here.
     void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                       const chunk_fn& body);
 
@@ -59,8 +62,8 @@ public:
 
     /// Cumulative parallel_for calls that fanned out across the workers.
     std::uint64_t jobs_dispatched() const { return jobs_.load(std::memory_order_relaxed); }
-    /// Cumulative ranges run inline on the caller (single lane, range too
-    /// small to split, or nested region).
+    /// Cumulative ranges run inline on the caller (single lane, range of
+    /// at most one grain, or nested region).
     std::uint64_t inline_runs() const {
         return inline_runs_.load(std::memory_order_relaxed);
     }
@@ -93,6 +96,14 @@ private:
     std::unique_ptr<impl> impl_;  // null when lanes_ == 1 (no workers spawned)
     std::size_t lanes_ = 1;
 };
+
+/// Number of chunks parallel_for cuts `n` indices into at this grain
+/// (grain 0 is treated as 1): the bound on the `chunk` argument, for
+/// sizing per-chunk outputs.
+constexpr std::size_t chunk_count(std::size_t n, std::size_t grain) {
+    if (grain == 0) grain = 1;
+    return n / grain + (n % grain != 0 ? 1 : 0);
+}
 
 /// Largest lane count HAWC_THREADS may ask for.
 inline constexpr std::size_t max_env_threads = 1024;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 
 #include "clustering/dbscan.hpp"
 #include "clustering/kmeans.hpp"
@@ -72,9 +73,12 @@ cluster_count_result crowd_counter::count_clusters(std::span<const point_cloud> 
                                                    rng& random, const deadline& time_budget,
                                                    const telemetry_handle& telem) const {
     // Parallel fan-out. The forked streams are drawn sequentially before
-    // any worker starts, so which rng a cluster sees never depends on
-    // scheduling; with the deadline unarmed (or unexpired) the outcome is
-    // byte-identical for every pool size. Deadline expiry skips whole
+    // any worker starts and each cluster writes only its own slot, so
+    // which rng and slot a cluster gets never depends on scheduling; with
+    // the deadline unarmed (or unexpired) the outcome is byte-identical
+    // for every pool size. Lanes claim clusters largest first (a stable
+    // size-descending order), so the costliest ones never queue behind
+    // cheap ones at the end of the frame. Deadline expiry skips whole
     // clusters, and any skipped cluster flags the frame truncated.
     std::vector<const point_cloud*> eligible;
     eligible.reserve(clusters.size());
@@ -84,6 +88,12 @@ cluster_count_result crowd_counter::count_clusters(std::span<const point_cloud> 
     std::vector<rng> streams;
     streams.reserve(eligible.size());
     for (std::size_t i = 0; i < eligible.size(); ++i) streams.push_back(random.fork());
+    std::vector<std::size_t> largest_first(eligible.size());
+    std::iota(largest_first.begin(), largest_first.end(), std::size_t{0});
+    std::stable_sort(largest_first.begin(), largest_first.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return eligible[a]->size() > eligible[b]->size();
+                     });
 
     struct item_outcome {
         std::size_t count = 0;
@@ -91,8 +101,9 @@ cluster_count_result crowd_counter::count_clusters(std::span<const point_cloud> 
     };
     std::vector<item_outcome> items(eligible.size());
     global_pool().parallel_for(0, eligible.size(), 1,
-                               [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
-                                   for (std::size_t i = lo; i < hi; ++i) {
+                               [&](std::size_t lo, std::size_t hi, std::size_t /*chunk*/) {
+                                   for (std::size_t k = lo; k < hi; ++k) {
+                                       const std::size_t i = largest_first[k];
                                        if (time_budget.expired()) {
                                            items[i].skipped = true;
                                            continue;

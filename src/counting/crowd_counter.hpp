@@ -65,10 +65,10 @@ public:
     /// fallback policy. When `time_budget` is armed and expires, the
     /// remaining clusters are skipped and the result is flagged truncated.
     ///
-    /// Clusters fan out across the global pool, each on its own forked
-    /// rng stream; the streams and the reduction order are fixed before
-    /// any worker runs, so the result is identical for every thread
-    /// count (including one).
+    /// Clusters fan out across the global pool, largest first, each on
+    /// its own forked rng stream; the streams and the reduction order are
+    /// fixed by input order before any worker runs, so the result is
+    /// identical for every thread count (including one).
     ///
     /// With a telemetry handle, each examined cluster emits a
     /// "classify_cluster" span under `telem.parent` (workers record into

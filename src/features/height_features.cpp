@@ -18,7 +18,7 @@ std::vector<double> sigma_against_tree(const point_cloud& query, const point_clo
     // on its own neighbourhood, so results are identical for any thread
     // count.
     global_pool().parallel_for(0, query.size(), 64, [&](std::size_t lo, std::size_t hi,
-                                                        std::size_t /*slot*/) {
+                                                        std::size_t /*chunk*/) {
         std::vector<neighbor> neighbors;  // reused across the chunk's queries
         for (std::size_t i = lo; i < hi; ++i) {
             tree.nearest_into(query[i], k + 1, neighbors);  // may include self

@@ -115,9 +115,11 @@ void fleet_manager::tick() {
     ++tick_;
     ticks_counter_->add(1);
 
-    // Each pole's tick touches only that pole's state; chunk boundaries
-    // don't matter for the result, so this is bit-identical for any
-    // thread count (the thread_pool contract).
+    // Each pole's tick touches only that pole's state, so neither the
+    // chunk a pole falls in nor the lane that claims it changes the
+    // result: bit-identical for any thread count (the thread_pool
+    // contract). One pole per chunk lets a free lane take the next pole
+    // instead of waiting behind a slow one.
     const std::uint64_t now = tick_;
     global_pool().parallel_for(0, poles_.size(), 1,
                                [&](std::size_t lo, std::size_t hi, std::size_t) {

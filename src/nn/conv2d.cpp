@@ -61,7 +61,7 @@ tensor conv2d::infer(const tensor& input) const {
     // with one scratch buffer per chunk.
     const kernels::kernel_ops& kern = kernels::active_kernels();
     global_pool().parallel_for(0, batch * out_h, 4, [&](std::size_t lo, std::size_t hi,
-                                                        std::size_t /*slot*/) {
+                                                        std::size_t /*chunk*/) {
         std::vector<float> col(out_w * K);
         for (std::size_t r = lo; r < hi; ++r) {
             const std::size_t n = r / out_h;

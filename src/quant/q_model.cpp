@@ -196,11 +196,11 @@ void run_conv(const q_conv_op& op, const kernels::kernel_ops& kern, forward_work
 
     shape.dims = {batch, p.out_h, p.out_w, cout};
     p.out = grow(out, shape.size());
-    // Parallel over output rows with static partitioning: chunk bounds
-    // depend only on (rows, grain, pool size) and each row writes a
-    // disjoint slice of `out`.
+    // Parallel over output rows in chunks of 4 (the thread_pool contract:
+    // chunk bounds depend only on rows and grain); each row writes a
+    // disjoint slice of `out`, so which lane runs a chunk never matters.
     global_pool().parallel_for(0, batch * p.out_h, 4,
-                               [&p](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
+                               [&p](std::size_t lo, std::size_t hi, std::size_t /*chunk*/) {
                                    conv_rows(p, lo, hi);
                                });
 }
@@ -243,11 +243,11 @@ void run_dense(const q_dense_op& op, const kernels::kernel_ops& kern, const std:
     shape.dims[1] = op.out_features;
     const dense_plan p{&op, &kern, in, grow(out, shape.size()),
                        kernels::q_row_stride(op.in_features)};
-    // Parallel over batch rows, same static-partitioning contract as the
-    // conv; each chunk is one blocked qgemm (the microkernel register-tiles
-    // several batch rows against each 8-column block).
-    global_pool().parallel_for(0, batch, 1,
-                               [&p](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
+    // Parallel over batch rows, same chunk contract as the conv; each
+    // chunk is one blocked qgemm over 4 rows, the rows the microkernel
+    // register-tiles against each 8-column block.
+    global_pool().parallel_for(0, batch, 4,
+                               [&p](std::size_t lo, std::size_t hi, std::size_t /*chunk*/) {
                                    dense_rows(p, lo, hi);
                                });
 }

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -27,11 +29,12 @@
 namespace hawc {
 namespace {
 
-/// Thread counts every determinism sweep must agree across. Always
-/// includes more lanes than this container has cores, so oversubscribed
-/// scheduling is exercised too.
+/// Thread counts every determinism sweep must agree across: 3 is the
+/// lane count replaybench's crowd_dense uses on a 4-core host, and the
+/// sweep always includes more lanes than a small host has cores, so
+/// oversubscribed scheduling is exercised too.
 std::vector<std::size_t> sweep_counts() {
-    std::vector<std::size_t> counts{1, 2, 4};
+    std::vector<std::size_t> counts{1, 2, 3, 4};
     const std::size_t hw = std::thread::hardware_concurrency();
     if (hw > 4) counts.push_back(hw);
     return counts;
@@ -96,25 +99,73 @@ TEST(thread_pool, covers_every_index_exactly_once) {
     }
 }
 
-TEST(thread_pool, chunk_boundaries_depend_only_on_range_and_pool_size) {
+TEST(thread_pool, chunk_boundaries_depend_only_on_range_and_grain) {
+    pool_guard guard;
+    constexpr std::size_t begin = 10;
+    constexpr std::size_t end = 1010;
+    constexpr std::size_t grain = 64;
+    constexpr std::size_t chunks = chunk_count(end - begin, grain);
+    static_assert(chunks == 16);
+    using bounds = std::pair<std::size_t, std::size_t>;
+    const auto record = [&] {
+        std::vector<bounds> seen(chunks, {0, 0});
+        std::atomic<std::size_t> calls{0};
+        global_pool().parallel_for(begin, end, grain,
+                                   [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
+                                       seen.at(chunk) = {lo, hi};
+                                       calls.fetch_add(1, std::memory_order_relaxed);
+                                   });
+        EXPECT_EQ(calls.load(), chunks);
+        return seen;
+    };
+
+    set_global_thread_count(2);
+    const std::vector<bounds> reference = record();
+    // Contiguous, numbered in range order, covering [10, 1010); every
+    // chunk but the last is exactly one grain.
+    std::size_t expect_lo = begin;
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const auto [lo, hi] = reference[c];
+        ASSERT_EQ(lo, expect_lo) << "chunk " << c;
+        if (c + 1 < chunks) {
+            ASSERT_EQ(hi - lo, grain) << "chunk " << c;
+        }
+        expect_lo = hi;
+    }
+    ASSERT_EQ(expect_lo, end);
+    for (std::size_t threads : {3, 4, 8}) {
+        set_global_thread_count(threads);
+        for (int run = 0; run < 2; ++run) {
+            ASSERT_EQ(record(), reference) << "at " << threads << " threads";
+        }
+    }
+}
+
+// Lanes claim chunks as they free up, so a lane stuck on one chunk holds
+// back nothing else: index 0 waits (at most 2 s) until indices 1-7 have
+// all run on the other lanes. Under a static split into one range per
+// lane, the lane holding index 0 also owned index 1 and the wait timed
+// out.
+TEST(thread_pool, a_slow_chunk_does_not_hold_back_the_rest) {
     pool_guard guard;
     set_global_thread_count(4);
-    for (int run = 0; run < 2; ++run) {
-        std::vector<std::pair<std::size_t, std::size_t>> chunks(global_pool().max_slots(),
-                                                               {0, 0});
-        global_pool().parallel_for(10, 1010, 50,
-                                   [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-                                       chunks[slot] = {lo, hi};
-                                   });
-        // Contiguous, ordered by slot, covering [10, 1010), each >= grain.
-        std::size_t expect_lo = 10;
-        for (const auto& [lo, hi] : chunks) {
-            ASSERT_EQ(lo, expect_lo);
-            ASSERT_GE(hi - lo, 50u);
-            expect_lo = hi;
+    std::atomic<std::size_t> others_done{0};
+    std::atomic<bool> waited_for_all{false};
+    global_pool().parallel_for(0, 8, 1, [&](std::size_t lo, std::size_t hi, std::size_t) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            if (i != 0) {
+                others_done.fetch_add(1);
+                continue;
+            }
+            const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds{2};
+            while (others_done.load() < 7 && std::chrono::steady_clock::now() < give_up) {
+                std::this_thread::sleep_for(std::chrono::microseconds{100});
+            }
+            waited_for_all.store(others_done.load() == 7);
         }
-        ASSERT_EQ(expect_lo, 1010u);
-    }
+    });
+    EXPECT_TRUE(waited_for_all.load()) << "index 0 timed out waiting for the other chunks";
+    EXPECT_EQ(others_done.load(), 7u);
 }
 
 TEST(thread_pool, small_ranges_respect_grain) {
@@ -175,8 +226,8 @@ TEST(thread_pool, nested_regions_run_inline) {
             for (int half = 0; half < 2; ++half) {
                 global_pool().parallel_for(
                     0, 8, 1,
-                    [&, outer, half](std::size_t ilo, std::size_t ihi, std::size_t slot) {
-                        EXPECT_EQ(slot, 0u);  // inner region sees a single chunk
+                    [&, outer, half](std::size_t ilo, std::size_t ihi, std::size_t chunk) {
+                        EXPECT_EQ(chunk, 0u);  // inner region sees a single chunk
                         for (std::size_t i = ilo; i < ihi; ++i) {
                             ++hits[outer * 16 + half * 8 + i];
                         }
@@ -368,6 +419,75 @@ TEST(determinism, stub_classifier_fanout_identical_with_kmeans_split) {
         EXPECT_EQ(got.count, reference.count) << "at " << threads << " threads";
         EXPECT_EQ(got.examined, reference.examined) << "at " << threads << " threads";
         EXPECT_EQ(got.truncated, reference.truncated) << "at " << threads << " threads";
+    }
+}
+
+// Clusters that arrive smallest first: the largest-first claim order
+// runs them in reverse, and the outcome must still be the one fixed by
+// input order, at every lane count, for a stub classifier and for the
+// flaky chaos wrapper behind a fallback (fault count included).
+TEST(determinism, count_clusters_identical_when_clusters_arrive_smallest_first) {
+    pool_guard guard;
+    capture_config capture;
+    capture.min_cluster_points = 20;
+
+    rng scene{114};
+    std::vector<point_cloud> clusters;
+    for (std::size_t points = 30; points <= 150; points += 30) {
+        point_cloud single;
+        const double fx = 14.0 + 0.1 * static_cast<double>(points);
+        for (std::size_t i = 0; i < points; ++i) {
+            single.push_back({fx + scene.normal(0.0, 0.1), scene.normal(0.0, 0.1),
+                              -2.9 + scene.uniform() * 1.7});
+        }
+        clusters.push_back(std::move(single));
+    }
+    for (std::size_t people = 2; people <= 5; ++people) {
+        point_cloud merged;
+        add_group(merged, scene, 20.0, 2.0 * static_cast<double>(people), people);
+        clusters.push_back(std::move(merged));
+    }
+    for (std::size_t i = 1; i < clusters.size(); ++i) {
+        ASSERT_LT(clusters[i - 1].size(), clusters[i].size()) << "sizes must ascend";
+    }
+
+    const coin_extent_classifier stub;
+    const extent_classifier_for_soak fallback;
+    ASSERT_GT(estimate_multiplicity(clusters.back(), crowd_counter{capture, stub}.multiplicity()),
+              1u)
+        << "the largest cluster must take the k-means split";
+
+    struct outcome {
+        cluster_count_result stub;
+        cluster_count_result flaky;
+        std::uint64_t faults = 0;
+    };
+    const auto run = [&] {
+        outcome out;
+        rng r{115};
+        out.stub = crowd_counter{capture, stub}.count_clusters(clusters, r);
+        const flaky_classifier primary{stub, 0.3};
+        const resilient_classifier rescued{primary, &fallback};
+        out.flaky = crowd_counter{capture, rescued}.count_clusters(clusters, r);
+        out.faults = primary.faults_raised();
+        return out;
+    };
+
+    set_global_thread_count(1);
+    const outcome reference = run();
+    EXPECT_EQ(reference.stub.examined, clusters.size());
+    EXPECT_GT(reference.faults, 0u);
+    for (std::size_t threads : sweep_counts()) {
+        set_global_thread_count(threads);
+        const outcome got = run();
+        EXPECT_EQ(got.stub.count, reference.stub.count) << "at " << threads << " threads";
+        EXPECT_EQ(got.stub.examined, reference.stub.examined) << "at " << threads << " threads";
+        EXPECT_EQ(got.stub.truncated, reference.stub.truncated) << "at " << threads << " threads";
+        EXPECT_EQ(got.flaky.count, reference.flaky.count) << "at " << threads << " threads";
+        EXPECT_EQ(got.flaky.examined, reference.flaky.examined) << "at " << threads << " threads";
+        EXPECT_EQ(got.flaky.truncated, reference.flaky.truncated)
+            << "at " << threads << " threads";
+        EXPECT_EQ(got.faults, reference.faults) << "at " << threads << " threads";
     }
 }
 
