@@ -33,7 +33,7 @@ int main() {
     const auto crowd = standard_crowd_dataset();
     std::vector<row> rows;
 
-    // The production frame path, with its wall-clock deadlines off so a
+    // The production frame path, with its wall-clock deadline off so a
     // slow host cannot change a count.
     auto run_pipeline = [&](const human_classifier& classifier) {
         frame_supervisor supervisor{without_deadlines({.capture = crowd_cfg.capture}), classifier};

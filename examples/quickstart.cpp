@@ -62,7 +62,7 @@ int main(int argc, char** argv) try {
     const std::size_t visible =
         visible_human_count(walkway_scene, scan_data, capture_cfg);
 
-    // The production frame path; its wall-clock deadlines are off so a
+    // The production frame path; its wall-clock deadline is off so a
     // slow host cannot change the count.
     frame_supervisor supervisor{without_deadlines({.capture = capture_cfg}), model};
     const frame_report result = supervisor.process(scan_data.to_cloud(), scene_rng);

@@ -116,6 +116,7 @@ cmake --build "${perf_build}" --target pole_postmortem -j "$(nproc)"
   > /tmp/hawc_pole_postmortem.txt
 grep -q "postmortem replay: bit-exact" /tmp/hawc_pole_postmortem.txt
 grep -q "Alert poles_excluded: fired and resolved" /tmp/hawc_pole_postmortem.txt
+grep -q "trigger quarantine" /tmp/hawc_pole_postmortem.txt
 echo "flight-recorder drill OK"
 
 echo "== phase 10/10: golden corpus-container verify (Release) =="

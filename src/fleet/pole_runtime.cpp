@@ -139,15 +139,9 @@ void pole_runtime::process_message(link_message msg, std::uint64_t tick) {
     ++stats_.processed;
     last_progress_tick_ = tick;
     if (record_history_) history_.push_back({msg.frame_index, report.count, report.status});
-    if (recorder_ &&
+    if (recorder_) {
         recorder_->record(msg.frame_index, msg.ground_truth, std::move(msg.cloud), carry_before,
-                          report)) {
-        telemetry::event ev =
-            telemetry::make_event(telemetry::event_kind::recorder_dump,
-                                  telemetry::event_severity::error, "deadline_storm");
-        ev.frame = msg.frame_index;
-        ev.add_field("pending", static_cast<double>(recorder_->pending_dumps()));
-        emit(ev);
+                          report);
     }
 
     if (report.status == frame_status::dropped) {

@@ -45,8 +45,6 @@ void event_log::bind_metrics(telemetry::metrics_registry& registry) {
 }
 
 bool event_log::publish(const telemetry::event& ev) {
-    if (ev.severity < config_.min_severity) return false;
-
     const auto k = static_cast<std::size_t>(ev.kind);
     kind_state& ks = kinds_[k];
     if (config_.burst > 0.0) {

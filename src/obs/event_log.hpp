@@ -3,9 +3,9 @@
 // The structured event log: a lock-light, preallocated ring of
 // telemetry::event records shared by every pole in a fleet.
 //
-//   * Admission is cheap and concurrent: the severity floor and the
-//     per-kind token buckets are relaxed/CAS atomics, so a suppressed
-//     event (the storm case) never takes a lock at all. An admitted
+//   * Admission is cheap and concurrent: the per-kind token buckets are
+//     relaxed/CAS atomics, so a suppressed event (the storm case) never
+//     takes a lock at all. An admitted
 //     event takes one short critical section to copy ~120 bytes into
 //     the ring — the same discipline as telemetry::trace_sink.
 //   * Rate limiting runs in virtual tick time: advance_tick() refills
@@ -13,8 +13,8 @@
 //     (no wall clocks anywhere; a single-threaded schedule of publishes
 //     and ticks always yields the same decisions).
 //   * Conservation: published() + suppressed() always equals the number
-//     of publish() attempts above the severity floor — nothing is lost
-//     unaccounted, which is what the TSan soak asserts.
+//     of publish() attempts — nothing is lost unaccounted, which is what
+//     the TSan soak asserts.
 //
 // Exporters: to_json_lines() renders events as JSONL for operators and
 // postmortem bundles; bind_metrics() mirrors per-kind accepted/
@@ -42,10 +42,6 @@ struct event_log_config {
     /// A non-positive burst disables rate limiting entirely.
     double tokens_per_tick = 4.0;
     double burst = 16.0;
-
-    /// Events below this severity are dropped before the rate limiter
-    /// (and are not counted as suppressed — they were never admitted).
-    telemetry::event_severity min_severity = telemetry::event_severity::debug;
 };
 
 class event_log final : public telemetry::event_sink {
@@ -59,8 +55,8 @@ public:
     /// concurrent publishing starts.
     void bind_metrics(telemetry::metrics_registry& registry);
 
-    /// Thread-safe. Returns false when the event was filtered (severity
-    /// floor) or suppressed (rate limit).
+    /// Thread-safe. Returns false when the event was suppressed (rate
+    /// limit).
     bool publish(const telemetry::event& ev) override;
 
     /// Refill the token buckets for one elapsed virtual tick. Call from

@@ -3,12 +3,12 @@
 // The black-box flight recorder one pole_runtime carries: a bounded ring
 // of the last N frames the supervisor processed (the cloud as delivered,
 // plus the supervisor's carry state before each frame and the observed
-// outcome). On a trigger — quarantine, a deadline storm, or an explicit
-// call — the ring is snapshotted into a postmortem_bundle, clouds
-// rounded to the round_to_recorded float32 precision, together with the
-// recent events and spans, ready to save and replay bit-exactly
-// (postmortem.hpp). Recording is O(1) per frame: the cloud is moved in,
-// and the rounding pass runs only at dump time.
+// outcome). On a trigger — quarantine or an explicit call — the ring is
+// snapshotted into a postmortem_bundle, clouds rounded to the
+// round_to_recorded float32 precision, together with the recent events
+// and spans, ready to save and replay bit-exactly (postmortem.hpp).
+// Recording is O(1) per frame: the cloud is moved in, and the rounding
+// pass runs only at dump time.
 //
 // Threading: a recorder belongs to exactly one pole and is only touched
 // by whichever thread runs that pole's tick (the pole_runtime contract),
@@ -30,19 +30,6 @@ namespace hawc::obs {
 struct flight_recorder_config {
     /// Frames retained (the "last N" of the black box).
     std::size_t frame_capacity = 16;
-
-    /// Bundles held until take_dumps() drains them; further triggers are
-    /// counted but dropped (a crash-looping pole must not hoard memory).
-    std::size_t max_pending_dumps = 2;
-
-    /// Consecutive frames carrying a frame-deadline overrun before the
-    /// recorder auto-dumps with dump_trigger::deadline_storm; 0 disables.
-    std::size_t deadline_storm_threshold = 0;
-
-    /// Events / spans included in a bundle (newest first in time,
-    /// rendered oldest-first).
-    std::size_t max_bundle_events = 64;
-    std::size_t max_bundle_spans = 256;
 };
 
 class flight_recorder {
@@ -59,15 +46,15 @@ public:
     /// already-owned message cloud and the hot path is O(1); rounding to
     /// the recorded precision is deferred to dump time, off the per-frame
     /// path. `before` is the supervisor's carry state captured BEFORE
-    /// process() ran. Returns true when this record auto-triggered a
-    /// deadline-storm dump.
-    bool record(std::uint64_t frame_index, std::uint32_t ground_truth,
+    /// process() ran.
+    void record(std::uint64_t frame_index, std::uint32_t ground_truth,
                 point_cloud cloud, const supervisor_carry& before,
                 const frame_report& report);
 
-    /// Snapshot the ring into a pending bundle. Returns false when the
-    /// ring is empty or the pending queue is full (counted in
-    /// dumps_dropped()).
+    /// Snapshot the ring into a pending bundle, with the newest events
+    /// and spans of the attached sources. Returns false when the ring is
+    /// empty or two bundles are already pending (counted in
+    /// dumps_dropped(): a crash-looping pole must not hoard memory).
     bool trigger_dump(dump_trigger trigger, std::uint64_t tick);
 
     /// Drain pending bundles (oldest first). Call from the single
@@ -98,7 +85,6 @@ private:
 
     std::deque<recorded_frame> ring_;
     std::vector<postmortem_bundle> pending_;
-    std::size_t overrun_streak_ = 0;
     std::uint64_t frames_recorded_ = 0;
     std::uint64_t dumps_produced_ = 0;
     std::uint64_t dumps_dropped_ = 0;

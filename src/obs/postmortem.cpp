@@ -12,7 +12,6 @@ const char* to_string(dump_trigger trigger) {
     switch (trigger) {
         case dump_trigger::manual: return "manual";
         case dump_trigger::quarantine: return "quarantine";
-        case dump_trigger::deadline_storm: return "deadline_storm";
     }
     return "unknown";
 }
@@ -73,7 +72,7 @@ postmortem_bundle load_postmortem(std::istream& in) {
     bundle.pole_id = r.str();
     bundle.base_seed = r.u64();
     const std::uint8_t trigger = r.u8();
-    if (trigger > static_cast<std::uint8_t>(dump_trigger::deadline_storm)) {
+    if (trigger > static_cast<std::uint8_t>(dump_trigger::quarantine)) {
         throw io_error{"postmortem bundle: unknown dump trigger"};
     }
     bundle.trigger = static_cast<dump_trigger>(trigger);

@@ -1,8 +1,7 @@
 #pragma once
 
 // The black-box postmortem bundle: what a pole's flight recorder dumps
-// when its watchdog quarantines it (or a deadline storm / manual trigger
-// fires). A bundle is a self-contained forensics artifact:
+// when its watchdog quarantines it (or a manual trigger fires). A bundle is a self-contained forensics artifact:
 //
 //   * the last N frames the supervisor actually processed — clouds in
 //     the round_to_recorded float32 precision, each with its original
@@ -40,7 +39,6 @@ inline constexpr std::uint16_t postmortem_version = 3;
 enum class dump_trigger : std::uint8_t {
     manual = 0,
     quarantine = 1,
-    deadline_storm = 2,
 };
 
 const char* to_string(dump_trigger trigger);

@@ -16,7 +16,7 @@
 //
 // Divergence counts flow into an optional telemetry registry
 // (hawc_parity_* metrics); parity_report::passed() gates CI. Replays run
-// with the supervisor's cooperative deadlines disabled — wall-clock must
+// with the supervisor's cooperative deadline disabled — wall-clock must
 // never decide which code path a parity frame takes (see DESIGN.md
 // "Replay & parity", determinism contract).
 

@@ -21,7 +21,7 @@ enum class pipeline_stage {
     ingest,          // ROI crop + ground removal + dedupe
     clustering,      // adaptive-eps selection + DBSCAN
     classification,  // per-cluster human/object decisions
-    frame,           // whole-frame concerns (total deadline, unknown throws)
+    frame,           // whole-frame concerns (unknown throws)
 };
 
 /// Why a stage degraded or failed.

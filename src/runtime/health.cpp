@@ -51,8 +51,7 @@ std::string health_counters::to_json() const {
     out += json_u64("non_finite_points_dropped", non_finite_points_dropped) + ",";
     out += json_u64("duplicate_points_dropped", duplicate_points_dropped) + ",";
     out += json_u64("truncated_frames", truncated_frames) + ",";
-    out += json_u64("classification_truncations", classification_truncations) + ",";
-    out += json_u64("frame_deadline_overruns", frame_deadline_overruns);
+    out += json_u64("classification_truncations", classification_truncations);
     out += "}";
     return out;
 }
@@ -84,9 +83,8 @@ std::string health_counters::summary() const {
                   static_cast<unsigned long long>(truncated_frames));
     out += buf;
     std::snprintf(buf, sizeof buf,
-                  "watchdog   %llu classification truncations | %llu frame overruns\n",
-                  static_cast<unsigned long long>(classification_truncations),
-                  static_cast<unsigned long long>(frame_deadline_overruns));
+                  "watchdog   %llu classification truncations\n",
+                  static_cast<unsigned long long>(classification_truncations));
     out += buf;
     return out;
 }

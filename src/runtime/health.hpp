@@ -23,7 +23,7 @@ enum class frame_status {
 
 /// Rungs of the graceful-degradation ladder, mildest first.
 enum class fallback_rung {
-    fixed_eps,    // adaptive eps degenerate/over budget -> fixed-eps DBSCAN
+    fixed_eps,    // adaptive eps elbow degenerate -> fixed-eps DBSCAN
     float_model,  // quantized classifier faulted -> fp32 model per cluster
     stale_count,  // unrecoverable frame -> bounded carry-forward of last count
 };
@@ -57,7 +57,6 @@ struct health_counters {
     std::uint64_t duplicate_points_dropped = 0;
     std::uint64_t truncated_frames = 0;            // rejected below min_raw_points
     std::uint64_t classification_truncations = 0;  // cluster loop hit its budget
-    std::uint64_t frame_deadline_overruns = 0;
 
     /// True when every frame carries exactly one status.
     bool accounted() const {

@@ -34,9 +34,7 @@ std::string resilient_classifier::name() const {
 }
 
 supervisor_config without_deadlines(supervisor_config config) {
-    config.eps_selection_deadline_ms = 0.0;
     config.classification_deadline_ms = 0.0;
-    config.frame_deadline_ms = 0.0;
     return config;
 }
 
@@ -73,8 +71,6 @@ frame_supervisor::frame_supervisor(const supervisor_config& config,
                                                   "Frames rejected below min_raw_points");
     rc_.classification_truncations = &metrics_.make_counter(
         "hawc_classification_truncations_total", "Cluster loops cut short by the stage budget");
-    rc_.frame_deadline_overruns = &metrics_.make_counter("hawc_frame_deadline_overruns_total",
-                                                         "Frames over the whole-frame deadline");
     const auto bounds = telemetry::latency_histogram::default_latency_bounds_ms();
     rc_.ingest_ms = &metrics_.make_histogram("hawc_ingest_ms", bounds, "Ingest stage latency");
     rc_.clustering_ms =
@@ -101,7 +97,6 @@ health_counters frame_supervisor::health() const {
     h.duplicate_points_dropped = rc_.duplicate_points->value();
     h.truncated_frames = rc_.truncated_frames->value();
     h.classification_truncations = rc_.classification_truncations->value();
-    h.frame_deadline_overruns = rc_.frame_deadline_overruns->value();
     return h;
 }
 
@@ -271,31 +266,14 @@ void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
     sw.reset();
     const adaptive_eps_config& ccfg = config_.capture.clustering;
     const neighbor_grid grid{ccfg.metric.scale(ingested)};
-    bool use_fixed = false;
-    failure_kind why = failure_kind::degenerate_elbow;
-    std::string why_detail;
-    {
-        stopwatch eps_sw;
-        const double eps = adaptive_epsilon(grid, ccfg, telem);
-        const double selection_ms = eps_sw.elapsed_ms();
-        rc_.eps_selection_ms->record(selection_ms);
-        if (config_.eps_selection_deadline_ms > 0.0 &&
-            selection_ms > config_.eps_selection_deadline_ms) {
-            use_fixed = true;
-            why = failure_kind::stage_deadline;
-            why_detail = "eps selection took " + std::to_string(selection_ms) + " ms";
-        } else if (!std::isfinite(eps) || eps <= ccfg.min_eps || eps >= ccfg.max_eps) {
-            // adaptive_epsilon clamps into [min_eps, max_eps]; landing on a
-            // bound means the elbow was degenerate (all-noise or
-            // duplicate-flooded curve), not a genuine density estimate.
-            use_fixed = true;
-            why = failure_kind::degenerate_elbow;
-            why_detail = "eps pinned at " + std::to_string(eps);
-        } else {
-            report.chosen_eps = eps;
-        }
-    }
-    if (use_fixed) report.chosen_eps = config_.fallback_eps;
+    stopwatch eps_sw;
+    const double eps = adaptive_epsilon(grid, ccfg, telem);
+    rc_.eps_selection_ms->record(eps_sw.elapsed_ms());
+    // adaptive_epsilon clamps into [min_eps, max_eps]; landing on a bound
+    // means the elbow was degenerate (all-noise or duplicate-flooded
+    // curve), not a genuine density estimate.
+    const bool use_fixed = !std::isfinite(eps) || eps <= ccfg.min_eps || eps >= ccfg.max_eps;
+    report.chosen_eps = use_fixed ? config_.fallback_eps : eps;
 
     const std::vector<point_cloud> clusters =
         dbscan(grid, report.chosen_eps, ccfg.min_points, telem)
@@ -304,10 +282,11 @@ void frame_supervisor::run_stages(const point_cloud& raw, rng& random,
     if (use_fixed) {
         report.used_fixed_eps = true;
         rc_.fixed_eps_fallbacks->add(1);
-        degrade(report, pipeline_stage::clustering, why, std::move(why_detail));
+        degrade(report, pipeline_stage::clustering, failure_kind::degenerate_elbow,
+                "eps pinned at " + std::to_string(eps));
         telemetry::event ev = telemetry::make_event(telemetry::event_kind::ladder_fixed_eps,
                                                     telemetry::event_severity::info,
-                                                    to_string(why));
+                                                    to_string(failure_kind::degenerate_elbow));
         ev.add_field("eps", report.chosen_eps);
         emit(ev);
     }
@@ -363,12 +342,6 @@ frame_report frame_supervisor::process(const point_cloud& raw, rng& random) {
         report.status = frame_status::dropped;
     }
     report.frame_ms = frame_sw.elapsed_ms();
-
-    if (config_.frame_deadline_ms > 0.0 && report.frame_ms > config_.frame_deadline_ms) {
-        rc_.frame_deadline_overruns->add(1);
-        degrade(report, pipeline_stage::frame, failure_kind::stage_deadline,
-                "frame took " + std::to_string(report.frame_ms) + " ms");
-    }
 
     // ---- Stale-count rung: bounded carry-forward for dropped frames ----
     if (report.status == frame_status::dropped) {

@@ -2,12 +2,12 @@
 
 // The fault-tolerant streaming runtime: a frame supervisor that runs the
 // full per-capture pipeline (sanitize -> ingest -> adaptive clustering ->
-// classify -> count) as supervised stages with cooperative steady-clock
-// watchdog budgets, and walks a graceful-degradation ladder instead of
-// crashing on bad sensor data:
+// classify -> count) as supervised stages with a cooperative steady-clock
+// classification budget, and walks a graceful-degradation ladder instead
+// of crashing on bad sensor data:
 //
-//   rung 1  fixed_eps    adaptive-eps selection degenerate (eps pinned to a
-//                        clamp bound) or over its deadline -> fixed-eps DBSCAN
+//   rung 1  fixed_eps    adaptive-eps elbow degenerate (eps pinned to a
+//                        clamp bound) -> fixed-eps DBSCAN
 //   rung 2  float_model  primary (int8) classifier throws / fails validation
 //                        on a cluster -> fp32 fallback model for that cluster
 //   rung 3  stale_count  unrecoverable frame -> serve the last good count,
@@ -15,8 +15,8 @@
 //
 // process() never throws; every frame is accounted ok/degraded/dropped in
 // the health counters, and its stage latencies are recorded only in the
-// registry's histograms. The watchdog is cooperative (stages poll a
-// monotonic deadline between work items), which bounds latency without
+// registry's histograms. The watchdog is cooperative (classification polls
+// a monotonic deadline between clusters), which bounds latency without
 // threads on single-core edge targets; see DESIGN.md "Fault model".
 
 #include <atomic>
@@ -72,10 +72,10 @@ struct supervisor_config {
     /// degraded.
     double below_ground_tolerance_m = 0.3;
 
-    // Cooperative watchdog budgets (steady clock), in ms; <= 0 disables.
-    double eps_selection_deadline_ms = 100.0;
+    /// Cooperative watchdog budget (steady clock), in ms; <= 0 disables.
+    /// count_clusters polls it between clusters and stops early once it
+    /// expires: the one wall clock that can change a frame's answer.
     double classification_deadline_ms = 500.0;
-    double frame_deadline_ms = 1000.0;
 
     /// Fixed-eps rung: DBSCAN radius used when adaptive selection fails.
     /// The Table IV fixed-eps baseline region works well here.
@@ -87,7 +87,7 @@ struct supervisor_config {
     std::size_t max_stale_frames = 5;
 };
 
-/// `config` with the three watchdog deadlines off, for every run whose
+/// `config` with the classification deadline off, for every run whose
 /// result a wall clock must not change: parity replays (a deadline firing
 /// on one side only would read as divergence), the paper's accuracy
 /// benches and the deterministic examples and tests.
@@ -205,7 +205,6 @@ private:
         telemetry::counter* duplicate_points = nullptr;
         telemetry::counter* truncated_frames = nullptr;
         telemetry::counter* classification_truncations = nullptr;
-        telemetry::counter* frame_deadline_overruns = nullptr;
         telemetry::latency_histogram* ingest_ms = nullptr;
         telemetry::latency_histogram* clustering_ms = nullptr;
         telemetry::latency_histogram* classification_ms = nullptr;

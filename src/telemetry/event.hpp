@@ -103,7 +103,7 @@ event make_event(event_kind kind, event_severity severity, std::string_view what
 
 /// Where events go. Implementations must be safe to call from multiple
 /// threads (poles tick in parallel). Returns false when the event was
-/// suppressed (rate limit, severity floor) rather than recorded.
+/// suppressed (e.g. rate limited) rather than recorded.
 class event_sink {
 public:
     virtual ~event_sink() = default;

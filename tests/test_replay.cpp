@@ -638,7 +638,7 @@ TEST(replay, golden_int8_logit_digest_is_pinned) {
 // Pins what the production path answers on every golden frame: count,
 // cluster count, status and the bits of the eps DBSCAN ran with, through
 // a default frame_supervisor (the golden int8 model, dedupe on) with its
-// wall-clock deadlines off. Every raw-frame count in the repo goes
+// wall-clock deadline off. Every raw-frame count in the repo goes
 // through this path, so a refactor of it must leave this digest alone.
 TEST(replay, golden_supervisor_digest_is_pinned) {
     const std::filesystem::path dir{HAWC_GOLDEN_DIR};
@@ -656,13 +656,10 @@ TEST(replay, golden_supervisor_digest_is_pinned) {
     config.capture.sensor.channels = 24;  // the golden corpora's sensor
     config.capture.sensor.azimuth_steps = 720;
     config.capture.min_cluster_points = 10;
-    config.eps_selection_deadline_ms = 0;
-    config.classification_deadline_ms = 0;
-    config.frame_deadline_ms = 0;
 
     std::vector<std::uint64_t> fields;
     for (const char* name : {"clean.frames", "degraded.frames"}) {
-        frame_supervisor supervisor{config, int8};
+        frame_supervisor supervisor{without_deadlines(config), int8};
         const replay_result result = replay_corpus(supervisor, load_corpus_file(dir / name));
         for (const frame_report& report : result.reports) {
             std::uint64_t eps_bits = 0;

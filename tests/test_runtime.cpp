@@ -131,21 +131,6 @@ TEST(supervisor, degenerate_elbow_falls_back_to_fixed_eps) {
     EXPECT_EQ(report.failures.back().kind, failure_kind::degenerate_elbow);
 }
 
-TEST(supervisor, eps_selection_deadline_forces_fixed_eps) {
-    const extent_classifier classifier;
-    supervisor_config cfg;
-    cfg.eps_selection_deadline_ms = 1e-7;  // always over budget
-    frame_supervisor sup{cfg, classifier};
-    rng r{15};
-
-    const frame_report report = sup.process(synth_frame(r, 2), r);
-    EXPECT_TRUE(report.used_fixed_eps);
-    EXPECT_EQ(report.status, frame_status::degraded);
-    ASSERT_FALSE(report.failures.empty());
-    EXPECT_EQ(report.failures.back().kind, failure_kind::stage_deadline);
-    EXPECT_EQ(report.failures.back().stage, pipeline_stage::clustering);
-}
-
 // --- Rung 2: float-model fallback ---
 
 TEST(supervisor, classifier_fault_rescued_by_fallback) {

@@ -498,7 +498,8 @@ TEST(telemetry, health_view_agrees_with_the_registry) {
     EXPECT_EQ(h.duplicate_points_dropped, counter("hawc_points_duplicate_dropped_total"));
     EXPECT_EQ(h.truncated_frames, counter("hawc_frames_truncated_total"));
     EXPECT_EQ(h.classification_truncations, counter("hawc_classification_truncations_total"));
-    EXPECT_EQ(h.frame_deadline_overruns, counter("hawc_frame_deadline_overruns_total"));
+    // No whole-frame deadline: hawc_frame_ms holds every frame's latency.
+    EXPECT_EQ(reg.find_counter("hawc_frame_deadline_overruns_total"), nullptr);
 
     // Stage latency lives only in the registry: one sample per processed
     // frame in each per-frame stage histogram, and reset_health() clears
@@ -536,6 +537,7 @@ TEST(telemetry, health_counters_to_json_round_trips_the_counters) {
     EXPECT_NE(json.find("\"frames_dropped\":1"), std::string::npos);
     EXPECT_NE(json.find("\"stale_counts_served\":1"), std::string::npos);
     EXPECT_NE(json.find("\"epoch\":3"), std::string::npos);
+    EXPECT_EQ(json.find("frame_deadline_overruns"), std::string::npos);
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
 }
