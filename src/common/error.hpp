@@ -33,13 +33,6 @@ public:
     using error::error;
 };
 
-/// Thrown when a supervised stage exceeds its deadline (see
-/// runtime/supervisor.hpp for the cooperative watchdog that raises it).
-class timeout_error : public error {
-public:
-    using error::error;
-};
-
 /// Thrown when data fails integrity validation: non-finite sensor
 /// returns, corrupted model activations, impossible geometry. The
 /// streaming runtime treats this as recoverable and degrades the frame.

@@ -28,8 +28,6 @@
 #include "fleet/pole_runtime.hpp"
 #include "obs/event_log.hpp"
 #include "obs/slo.hpp"
-#include "replay/container.hpp"
-#include "replay/corpus_set.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace hawc::fleet {
@@ -39,7 +37,11 @@ namespace hawc::fleet {
 /// concurrently, so one classifier may serve several of them.
 struct pole_setup {
     std::string pole_id;
-    std::uint64_t seed = 1;  // frame-stream base seed (= corpus base_seed)
+    /// Frame-stream base seed. Frame i submitted with frame_index i runs
+    /// on rng stream replay::frame_seed(seed, i), so a pole whose seed is
+    /// its recorded stream's base_seed counts that stream bit-identically
+    /// to a solo replay_corpus of it.
+    std::uint64_t seed = 1;
     supervisor_config supervisor{};
     link_fault_config link{};
     watchdog_config watchdog{};
@@ -166,30 +168,5 @@ private:
 /// occupancy staleness, excluded poles, drop ratio, quarantine rate.
 /// Callers append rules for their own service-level metrics.
 std::vector<obs::slo_rule> default_fleet_slo_rules();
-
-/// Replay a recorded multi-pole corpus set through a fleet: tick t
-/// submits frame t of every pole (poles beyond their corpus length idle),
-/// then `drain_ticks` empty ticks let delayed messages and backlogs
-/// flush. Requires one pole per corpus, in order, with matching stream
-/// seeds — the precondition for bit-exact parity with solo replays.
-struct fleet_replay_result {
-    std::uint64_t ticks = 0;
-    std::uint64_t frames_submitted = 0;
-};
-
-fleet_replay_result replay_corpus_set(fleet_manager& fleet,
-                                      const replay::pole_corpus_set& set,
-                                      std::uint64_t drain_ticks = 8);
-
-/// Streaming variant: replay a packed corpus-set container ("HWCC",
-/// replay::container.hpp) without materializing it. Tick t reads frame t
-/// of every stream straight from the container; the reader's chunk cache
-/// is widened to one chunk per pole so the round-robin read order stays
-/// chunk-at-a-time — memory is bounded by pole_count chunks however long
-/// the recording is. Preconditions match replay_corpus_set (one stream
-/// per pole, in order, matching seeds).
-fleet_replay_result replay_container_set(fleet_manager& fleet,
-                                         replay::container_reader& reader,
-                                         std::uint64_t drain_ticks = 8);
 
 }  // namespace hawc::fleet

@@ -6,10 +6,6 @@
 
 namespace hawc {
 
-void optimizer::zero_grad() {
-    for (auto* p : params_) p->grad.zero();
-}
-
 void adam::attach(std::vector<parameter*> params) {
     params_ = std::move(params);
     m_.clear();
@@ -42,26 +38,6 @@ void adam::step() {
             const double v_hat = static_cast<double>(v[i]) / bias2;
             p.value[i] -=
                 static_cast<float>(lr * m_hat / (std::sqrt(v_hat) + config_.epsilon));
-        }
-        p.grad.zero();
-    }
-}
-
-void sgd::attach(std::vector<parameter*> params) {
-    params_ = std::move(params);
-    velocity_.clear();
-    for (auto* p : params_) velocity_.emplace_back(p->value.size(), 0.0f);
-}
-
-void sgd::step() {
-    HAWC_REQUIRE(!params_.empty(), "optimizer not attached");
-    for (std::size_t pi = 0; pi < params_.size(); ++pi) {
-        parameter& p = *params_[pi];
-        auto& vel = velocity_[pi];
-        for (std::size_t i = 0; i < p.value.size(); ++i) {
-            vel[i] = static_cast<float>(config_.momentum * static_cast<double>(vel[i]) -
-                                        config_.learning_rate * static_cast<double>(p.grad[i]));
-            p.value[i] += vel[i];
         }
         p.grad.zero();
     }

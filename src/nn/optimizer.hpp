@@ -1,29 +1,12 @@
 #pragma once
 
-// Optimizers. The paper trains all networks with Adam (lr 0.001).
+// The optimizer. The paper trains all networks with Adam (lr 0.001).
 
 #include <vector>
 
 #include "nn/layer.hpp"
 
 namespace hawc {
-
-class optimizer {
-public:
-    virtual ~optimizer() = default;
-
-    /// Bind the parameters to optimize (once, before stepping).
-    virtual void attach(std::vector<parameter*> params) = 0;
-
-    /// Apply one update from the accumulated gradients, then zero them.
-    virtual void step() = 0;
-
-    /// Zero gradients without stepping.
-    void zero_grad();
-
-protected:
-    std::vector<parameter*> params_;
-};
 
 struct adam_config {
     double learning_rate = 1e-3;
@@ -32,38 +15,25 @@ struct adam_config {
     double epsilon = 1e-8;
 };
 
-class adam final : public optimizer {
+class adam {
 public:
     explicit adam(const adam_config& config = {}) : config_{config} {}
 
-    void attach(std::vector<parameter*> params) override;
-    void step() override;
+    /// Bind the parameters to optimize (once, before stepping).
+    void attach(std::vector<parameter*> params);
+
+    /// Apply one update from the accumulated gradients, then zero them.
+    void step();
 
     double learning_rate() const { return config_.learning_rate; }
     void set_learning_rate(double lr) { config_.learning_rate = lr; }
 
 private:
     adam_config config_;
+    std::vector<parameter*> params_;
     std::vector<std::vector<float>> m_;
     std::vector<std::vector<float>> v_;
     std::size_t t_ = 0;
-};
-
-struct sgd_config {
-    double learning_rate = 1e-2;
-    double momentum = 0.0;
-};
-
-class sgd final : public optimizer {
-public:
-    explicit sgd(const sgd_config& config = {}) : config_{config} {}
-
-    void attach(std::vector<parameter*> params) override;
-    void step() override;
-
-private:
-    sgd_config config_;
-    std::vector<std::vector<float>> velocity_;
 };
 
 }  // namespace hawc

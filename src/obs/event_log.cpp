@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/error.hpp"
+#include "telemetry/export.hpp"
 
 namespace hawc::obs {
 
@@ -125,17 +126,7 @@ void event_log::clear() {
 
 namespace {
 
-void append_json_escaped(std::string& out, std::string_view s) {
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default: out += c;
-        }
-    }
-}
+using telemetry::append_json_escaped;
 
 std::string json_num(double v) {
     char buf[64];

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "replay/codec.hpp"
-#include "replay/corpus_set.hpp"
 
 namespace hawc::replay {
 
@@ -56,7 +55,6 @@ void container_writer::append(std::uint32_t stream, const frame_record& frame) {
     write_frame_record(chunk.frames, frame);
     ++chunk.frame_count;
     ++streams_[stream].frame_count;
-    ++frames_appended_;
     if (chunk.frame_count >= options_.frames_per_chunk ||
         chunk.frames.bytes().size() >= container_max_chunk_bytes / 2) {
         flush_chunk(stream);
@@ -93,12 +91,6 @@ void container_writer::flush_chunk(std::uint32_t stream) {
     chunk.frames = byte_writer{};
     chunk.first_frame += chunk.frame_count;
     chunk.frame_count = 0;
-}
-
-std::uint64_t container_writer::bytes_buffered() const {
-    std::uint64_t total = 0;
-    for (const open_chunk& chunk : open_) total += chunk.frames.bytes().size();
-    return total;
 }
 
 void container_writer::finalize() {
@@ -371,33 +363,6 @@ void pack_corpus(std::ostream& out, const frame_corpus& corpus, container_option
     writer.finalize();
 }
 
-void pack_corpus_set(std::ostream& out, const pole_corpus_set& set,
-                     container_options options) {
-    container_writer writer{out, container_kind::corpus_set, set.name, options};
-    for (const pole_corpus& pole : set.poles) {
-        writer.add_stream(pole.pole_id, pole.corpus.name, pole.corpus.base_seed);
-    }
-    // Interleave pole frames in tick order — the layout a streaming fleet
-    // replay reads — instead of pole-after-pole.
-    std::size_t longest = 0;
-    for (const pole_corpus& pole : set.poles) longest = std::max(longest, pole.corpus.size());
-    for (std::size_t frame = 0; frame < longest; ++frame) {
-        for (std::uint32_t s = 0; s < set.poles.size(); ++s) {
-            const frame_corpus& corpus = set.poles[s].corpus;
-            if (frame < corpus.size()) writer.append(s, corpus.frames[frame]);
-        }
-    }
-    writer.finalize();
-}
-
-void pack_corpus_set_file(const std::filesystem::path& path, const pole_corpus_set& set,
-                          container_options options) {
-    std::ofstream out{path, std::ios::binary};
-    if (!out) throw io_error{"cannot open " + path.string() + " for writing"};
-    pack_corpus_set(out, set, options);
-    if (!out) throw io_error{"failed writing " + path.string()};
-}
-
 frame_corpus unpack_corpus(container_reader& reader, std::uint32_t stream) {
     const container_stream_info& info = reader.stream(stream);
     frame_corpus corpus;
@@ -408,27 +373,6 @@ frame_corpus unpack_corpus(container_reader& reader, std::uint32_t stream) {
         corpus.frames.push_back(reader.frame(stream, i));
     }
     return corpus;
-}
-
-pole_corpus_set unpack_corpus_set(container_reader& reader) {
-    if (reader.kind() != container_kind::corpus_set) {
-        throw io_error{"container is not a pole corpus set"};
-    }
-    pole_corpus_set set;
-    set.name = reader.title();
-    set.poles.reserve(reader.stream_count());
-    for (std::uint32_t s = 0; s < reader.stream_count(); ++s) {
-        pole_corpus pole;
-        pole.pole_id = reader.stream(s).pole_id;
-        pole.corpus = unpack_corpus(reader, s);
-        set.poles.push_back(std::move(pole));
-    }
-    return set;
-}
-
-pole_corpus_set unpack_corpus_set_file(const std::filesystem::path& path) {
-    container_reader reader{path};
-    return unpack_corpus_set(reader);
 }
 
 void save_corpus_file(const std::filesystem::path& path, const frame_corpus& corpus) {

@@ -52,8 +52,6 @@
 
 namespace hawc::replay {
 
-struct pole_corpus_set;  // corpus_set.hpp
-
 inline constexpr std::uint32_t container_magic = 0x43435748;  // "HWCC"
 inline constexpr std::uint16_t container_version = 1;
 
@@ -117,9 +115,6 @@ public:
     void finalize();
 
     bool finalized() const { return finalized_; }
-    std::uint64_t frames_appended() const { return frames_appended_; }
-    std::uint64_t chunks_written() const { return chunks_.size(); }
-    std::uint64_t bytes_buffered() const;
 
 private:
     struct open_chunk {
@@ -139,7 +134,6 @@ private:
     std::vector<chunk_entry> chunks_;
     std::vector<char> scratch_;  // compressed-chunk staging, reused
     std::uint64_t offset_ = 0;   // next chunk's file offset
-    std::uint64_t frames_appended_ = 0;
     bool finalized_ = false;
 };
 
@@ -201,19 +195,13 @@ private:
     std::uint64_t chunks_decoded_ = 0;
 };
 
-// ---- corpus / corpus-set convenience wrappers ----------------------------
+// ---- corpus convenience wrappers -----------------------------------------
 
 void pack_corpus(std::ostream& out, const frame_corpus& corpus, container_options options = {});
-void pack_corpus_set(std::ostream& out, const pole_corpus_set& set,
-                     container_options options = {});
-void pack_corpus_set_file(const std::filesystem::path& path, const pole_corpus_set& set,
-                          container_options options = {});
 
-/// Materialize a whole stream / set back into memory (the non-streaming
-/// convenience path; bit-exact inverse of pack_*).
+/// Materialize one stream back into memory (the non-streaming
+/// convenience path; bit-exact inverse of pack_corpus).
 frame_corpus unpack_corpus(container_reader& reader, std::uint32_t stream = 0);
-pole_corpus_set unpack_corpus_set(container_reader& reader);
-pole_corpus_set unpack_corpus_set_file(const std::filesystem::path& path);
 
 /// The corpus file pair: a container_kind::corpus container holding one
 /// stream. load_corpus_file rejects any other kind with io_error.

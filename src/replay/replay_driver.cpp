@@ -47,20 +47,16 @@ frame_corpus record_corpus(const record_config& config) {
 
 namespace {
 
-// The one per-frame replay loop: frame i (fetched by `frame_at`) runs on
-// the rng stream frame_seed(base_seed, indices ? indices[i] : i). Every
-// replay entry point goes through here, so "a packed corpus replays
-// bit-identically to its in-memory original" holds by construction.
-template <class FrameAt>
-replay_result replay_frames(frame_supervisor& supervisor, std::uint64_t base_seed,
-                            std::size_t frames, FrameAt frame_at,
+// The one per-frame replay loop: frame i runs on the rng stream
+// frame_seed(base_seed, indices ? indices[i] : i).
+replay_result replay_frames(frame_supervisor& supervisor, const frame_corpus& corpus,
                             const std::uint64_t* indices = nullptr) {
     replay_result result;
-    result.reports.reserve(frames);
-    for (std::size_t i = 0; i < frames; ++i) {
-        const frame_record& frame = frame_at(i);
+    result.reports.reserve(corpus.size());
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+        const frame_record& frame = corpus.frames[i];
         const std::size_t stream = indices != nullptr ? static_cast<std::size_t>(indices[i]) : i;
-        rng random{frame_seed(base_seed, stream)};
+        rng random{frame_seed(corpus.base_seed, stream)};
         frame_report report = supervisor.process(frame.cloud, random);
         switch (report.status) {
             case frame_status::ok: ++result.frames_ok; break;
@@ -79,29 +75,14 @@ replay_result replay_frames(frame_supervisor& supervisor, std::uint64_t base_see
 }  // namespace
 
 replay_result replay_corpus(frame_supervisor& supervisor, const frame_corpus& corpus) {
-    return replay_frames(
-        supervisor, corpus.base_seed, corpus.size(),
-        [&](std::size_t i) -> const frame_record& { return corpus.frames[i]; });
+    return replay_frames(supervisor, corpus);
 }
 
 replay_result replay_corpus_indexed(frame_supervisor& supervisor, const frame_corpus& corpus,
                                     std::span<const std::uint64_t> indices) {
     HAWC_REQUIRE(indices.size() == corpus.size(),
                  "indexed replay needs one stream index per frame");
-    return replay_frames(
-        supervisor, corpus.base_seed, corpus.size(),
-        [&](std::size_t i) -> const frame_record& { return corpus.frames[i]; },
-        indices.data());
-}
-
-replay_result replay_container(frame_supervisor& supervisor, container_reader& reader,
-                               std::uint32_t stream) {
-    const container_stream_info& info = reader.stream(stream);
-    // The sequential walk serves each chunk from the one-chunk cache: the
-    // whole corpus is never resident at once.
-    return replay_frames(
-        supervisor, info.base_seed, static_cast<std::size_t>(info.frame_count),
-        [&](std::size_t i) -> const frame_record& { return reader.frame(stream, i); });
+    return replay_frames(supervisor, corpus, indices.data());
 }
 
 }  // namespace hawc::replay

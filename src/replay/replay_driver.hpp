@@ -14,7 +14,6 @@
 #include <span>
 
 #include "dataset/capture_pipeline.hpp"
-#include "replay/container.hpp"
 #include "replay/frame_format.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/supervisor.hpp"
@@ -75,13 +74,5 @@ replay_result replay_corpus(frame_supervisor& supervisor, const frame_corpus& co
 /// indices.size() must equal corpus.size().
 replay_result replay_corpus_indexed(frame_supervisor& supervisor, const frame_corpus& corpus,
                                     std::span<const std::uint64_t> indices);
-
-/// Stream-replay stream `stream` of an open container through
-/// `supervisor` with the same deterministic per-frame rng streams as
-/// replay_corpus — a packed corpus replays bit-identically to its
-/// uncompressed original — decompressing one chunk at a time, so memory
-/// stays bounded by the reader's chunk cache, not the corpus size.
-replay_result replay_container(frame_supervisor& supervisor, container_reader& reader,
-                               std::uint32_t stream = 0);
 
 }  // namespace hawc::replay

@@ -6,7 +6,7 @@
 // the degradation ladder, so operators can tell a dirty sensor (bursts
 // of non_finite_input) from an overloaded node (stage_deadline) without
 // reproducing the frame. Exception types live in common/error.hpp
-// (timeout_error, data_integrity_error); this header classifies them.
+// (data_integrity_error); this header classifies them.
 
 #include <string>
 #include <vector>

@@ -17,21 +17,6 @@ std::string num(double v) {
 
 std::string num(std::uint64_t v) { return std::to_string(v); }
 
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default: out += c;
-        }
-    }
-    return out;
-}
-
 // Prometheus label-value escaping: backslash, double quote, and newline
 // are the three characters the exposition format requires escaping.
 std::string prom_escape(const std::string& s) {
@@ -158,7 +143,9 @@ std::string to_json(const metrics_registry& reg) {
     for (const auto& c : reg.counter_samples()) {
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    \"" + json_escape(c.name) + "\": " + num(c.value);
+        out += "    \"";
+        append_json_escaped(out, c.name);
+        out += "\": " + num(c.value);
     }
     out += first ? "},\n" : "\n  },\n";
 
@@ -167,7 +154,9 @@ std::string to_json(const metrics_registry& reg) {
     for (const auto& g : reg.gauge_samples()) {
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    \"" + json_escape(g.name) + "\": " + num(g.value);
+        out += "    \"";
+        append_json_escaped(out, g.name);
+        out += "\": " + num(g.value);
     }
     out += first ? "},\n" : "\n  },\n";
 
@@ -176,10 +165,12 @@ std::string to_json(const metrics_registry& reg) {
     for (const auto& h : reg.histogram_samples()) {
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    \"" + json_escape(h.name) + "\": {\"count\": " + num(h.count) +
-               ", \"sum\": " + num(h.sum) + ", \"min\": " + num(h.min) +
-               ", \"max\": " + num(h.max) + ", \"p50\": " + num(h.p50) +
-               ", \"p95\": " + num(h.p95) + ", \"p99\": " + num(h.p99) + ", \"buckets\": [";
+        out += "    \"";
+        append_json_escaped(out, h.name);
+        out += "\": {\"count\": " + num(h.count) + ", \"sum\": " + num(h.sum) +
+               ", \"min\": " + num(h.min) + ", \"max\": " + num(h.max) +
+               ", \"p50\": " + num(h.p50) + ", \"p95\": " + num(h.p95) +
+               ", \"p99\": " + num(h.p99) + ", \"buckets\": [";
         for (std::size_t i = 0; i < h.bounds.size(); ++i) {
             if (i > 0) out += ", ";
             out += "{\"le\": " + num(h.bounds[i]) + ", \"count\": " + num(h.cumulative[i]) + "}";
@@ -190,6 +181,27 @@ std::string to_json(const metrics_registry& reg) {
     out += first ? "}\n" : "\n  }\n";
     out += "}\n";
     return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view s) {
+    for (const char c : s) {
+        switch (c) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\r': out += "\\r"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    char buf[8];
+                    std::snprintf(buf, sizeof buf, "\\u%04x",
+                                  static_cast<unsigned>(static_cast<unsigned char>(c)));
+                    out += buf;
+                } else {
+                    out += c;
+                }
+        }
+    }
 }
 
 std::string to_chrome_trace(std::span<const span_record> spans) {

@@ -14,6 +14,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -29,6 +30,12 @@ std::string to_prometheus(const metrics_registry& reg);
 std::string to_json(const metrics_registry& reg);
 
 std::string to_chrome_trace(std::span<const span_record> spans);
+
+/// Append `s` to `out` as the body of a JSON string: quote, backslash,
+/// \n, \r and \t get their short escapes, and every other byte below
+/// 0x20 becomes \u00XX. The one JSON string escaper (to_json,
+/// obs::to_json_line).
+void append_json_escaped(std::string& out, std::string_view s);
 
 /// Sample the pool's instantaneous state into gauges (lanes, active lanes,
 /// utilization, cumulative fan-out/inline dispatch totals). Call before a

@@ -2,12 +2,11 @@
 // and its byte codec (replay/codec): codec identity on empty / tiny /
 // incompressible / highly-redundant / adversarial inputs, bounds-checked
 // decoding of corrupted and truncated token streams (clean io_error,
-// never UB), bit-exact container round trips for corpora and pole corpus
-// sets, random access through the chunk index, the LRU streaming bound
-// (a sequential walk decodes each chunk exactly once), an exhaustive
-// single-byte corruption + truncation sweep over a whole container file,
-// and replay parity: a packed corpus replays bit-identically to its
-// in-memory original, solo and through a fleet.
+// never UB), bit-exact container round trips for single corpora and
+// multi-pole recordings, random access through the chunk index, the LRU
+// streaming bound (a sequential walk decodes each chunk exactly once),
+// and an exhaustive single-byte corruption + truncation sweep over a
+// whole container file.
 
 #include <gtest/gtest.h>
 
@@ -15,17 +14,15 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <memory>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
-#include "fleet/fleet_manager.hpp"
+#include "common/rng.hpp"
 #include "replay/codec.hpp"
 #include "replay/container.hpp"
-#include "replay/corpus_set.hpp"
-#include "replay/replay_driver.hpp"
 
 namespace hawc::replay {
 namespace {
@@ -80,32 +77,37 @@ frame_corpus synth_corpus(std::uint64_t base_seed, std::size_t frames) {
     return corpus;
 }
 
-pole_corpus_set synth_set(std::size_t poles, std::size_t frames) {
-    pole_corpus_set set;
-    set.name = "synth-set";
-    for (std::size_t i = 0; i < poles; ++i) {
-        pole_corpus pc;
-        // Two appends: GCC 12's -Wrestrict false-positives on
-        // operator+(const char*, std::string&&) at -O3.
-        pc.pole_id = "p";
-        pc.pole_id += std::to_string(i);
-        pc.corpus = synth_corpus(900 + i, frames);
-        set.poles.push_back(std::move(pc));
-    }
-    return set;
+std::vector<frame_corpus> synth_poles(std::size_t poles, std::size_t frames) {
+    std::vector<frame_corpus> corpora;
+    for (std::size_t i = 0; i < poles; ++i) corpora.push_back(synth_corpus(900 + i, frames));
+    return corpora;
 }
 
-class extent_classifier final : public human_classifier {
-public:
-    bool is_human(const point_cloud& cluster, rng&) const override {
-        if (cluster.empty()) return false;
-        const vec3 extent = cluster.bounds().size();
-        return extent.z > 0.7 && std::max(extent.x, extent.y) < 2.5;
-    }
-    std::string name() const override { return "ExtentGate"; }
-};
+// Two appends: GCC 12's -Wrestrict false-positives on
+// operator+(const char*, std::string&&) at -O3.
+std::string pole_id(std::size_t i) {
+    std::string id = "p";
+    id += std::to_string(i);
+    return id;
+}
 
-supervisor_config det_config() { return without_deadlines({}); }
+// A multi-pole recording: one corpus_set container with stream i = pole
+// pole_id(i), frames interleaved in tick order.
+void pack_poles(std::ostream& out, const std::vector<frame_corpus>& poles,
+                container_options options = {}) {
+    container_writer writer{out, container_kind::corpus_set, "synth-set", options};
+    std::size_t longest = 0;
+    for (std::size_t i = 0; i < poles.size(); ++i) {
+        writer.add_stream(pole_id(i), poles[i].name, poles[i].base_seed);
+        longest = std::max(longest, poles[i].size());
+    }
+    for (std::size_t frame = 0; frame < longest; ++frame) {
+        for (std::uint32_t s = 0; s < poles.size(); ++s) {
+            if (frame < poles[s].size()) writer.append(s, poles[s].frames[frame]);
+        }
+    }
+    writer.finalize();
+}
 
 // ---- codec: identity -----------------------------------------------------
 
@@ -284,18 +286,19 @@ TEST(container, corpus_round_trips_bit_exactly_across_chunk_sizes) {
 }
 
 TEST(container, corpus_set_round_trips_bit_exactly) {
-    const pole_corpus_set set = synth_set(3, 7);
+    const std::vector<frame_corpus> poles = synth_poles(3, 7);
     std::ostringstream out;
-    pack_corpus_set(out, set, {.frames_per_chunk = 3});
+    pack_poles(out, poles, {.frames_per_chunk = 3});
     std::istringstream in{out.str()};
     container_reader reader{in};
     EXPECT_EQ(reader.kind(), container_kind::corpus_set);
-    ASSERT_EQ(reader.stream_count(), set.pole_count());
-    for (std::uint32_t s = 0; s < set.pole_count(); ++s) {
-        EXPECT_EQ(reader.stream(s).pole_id, set.poles[s].pole_id);
-        EXPECT_EQ(reader.stream(s).base_seed, set.poles[s].corpus.base_seed);
+    EXPECT_EQ(reader.title(), "synth-set");
+    ASSERT_EQ(reader.stream_count(), poles.size());
+    for (std::uint32_t s = 0; s < poles.size(); ++s) {
+        EXPECT_EQ(reader.stream(s).pole_id, pole_id(s));
+        EXPECT_EQ(reader.stream(s).base_seed, poles[s].base_seed);
+        EXPECT_EQ(unpack_corpus(reader, s), poles[s]) << "stream " << s;
     }
-    EXPECT_EQ(unpack_corpus_set(reader), set);
 }
 
 TEST(container, empty_corpus_round_trips) {
@@ -341,16 +344,16 @@ TEST(container, sequential_walk_decodes_each_chunk_once) {
 }
 
 TEST(container, lru_cache_capacity_bounds_residency) {
-    const pole_corpus_set set = synth_set(3, 6);
+    const std::vector<frame_corpus> poles = synth_poles(3, 6);
     std::ostringstream out;
-    pack_corpus_set(out, set, {.frames_per_chunk = 2});
+    pack_poles(out, poles, {.frames_per_chunk = 2});
     std::istringstream in{out.str()};
     container_reader reader{in, {.cached_chunks = 3}};
     // Round-robin across 3 streams: with capacity == stream count each
     // stream's hot chunk stays resident, so every chunk decodes once.
     for (std::size_t f = 0; f < 6; ++f) {
         for (std::uint32_t s = 0; s < 3; ++s) {
-            EXPECT_EQ(reader.frame(s, f), set.poles[s].corpus.frames[f]);
+            EXPECT_EQ(reader.frame(s, f), poles[s].frames[f]);
         }
         EXPECT_LE(reader.cached_chunk_count(), 3u);
     }
@@ -456,110 +459,12 @@ TEST(container, rejects_header_tampering) {
     }
     {  // a corpus-set container is not a single corpus
         const auto path = std::filesystem::temp_directory_path() / "hawc_set_not_corpus.hwcc";
-        pack_corpus_set_file(path, synth_set(2, 1));
+        {
+            std::ofstream file{path, std::ios::binary};
+            pack_poles(file, synth_poles(2, 1));
+        }
         EXPECT_THROW(load_corpus_file(path), io_error);
         std::filesystem::remove(path);
-    }
-}
-
-// ---- container: replay parity --------------------------------------------
-
-TEST(container, replay_container_matches_replay_corpus_bit_for_bit) {
-    const frame_corpus corpus = synth_corpus(71, 8);
-    const extent_classifier classifier;
-
-    frame_supervisor baseline_sup{det_config(), classifier};
-    const replay_result baseline = replay_corpus(baseline_sup, corpus);
-
-    std::ostringstream out;
-    pack_corpus(out, corpus, {.frames_per_chunk = 3});
-    std::istringstream in{out.str()};
-    container_reader reader{in};
-    frame_supervisor packed_sup{det_config(), classifier};
-    const replay_result packed = replay_container(packed_sup, reader);
-
-    ASSERT_EQ(packed.reports.size(), baseline.reports.size());
-    for (std::size_t i = 0; i < baseline.reports.size(); ++i) {
-        EXPECT_EQ(packed.reports[i].count, baseline.reports[i].count) << i;
-        EXPECT_EQ(packed.reports[i].status, baseline.reports[i].status) << i;
-    }
-    EXPECT_EQ(packed.total_count, baseline.total_count);
-    EXPECT_EQ(packed.absolute_count_error, baseline.absolute_count_error);
-}
-
-TEST(container, fleet_replay_from_container_matches_materialized_set) {
-    const pole_corpus_set set = synth_set(3, 10);
-    const extent_classifier classifier;
-
-    auto make_fleet = [&]() {
-        std::vector<fleet::pole_setup> setups(set.pole_count());
-        for (std::size_t i = 0; i < set.pole_count(); ++i) {
-            setups[i].pole_id = set.poles[i].pole_id;
-            setups[i].seed = set.poles[i].corpus.base_seed;
-            setups[i].supervisor = det_config();
-            setups[i].primary = &classifier;
-        }
-        auto fleet = std::make_unique<fleet::fleet_manager>(fleet::fleet_config{}, setups);
-        for (std::size_t i = 0; i < set.pole_count(); ++i) {
-            fleet->pole(i).set_record_history(true);
-        }
-        return fleet;
-    };
-
-    auto baseline_fleet = make_fleet();
-    const auto baseline = replay_corpus_set(*baseline_fleet, set, 8);
-
-    std::ostringstream out;
-    pack_corpus_set(out, set, {.frames_per_chunk = 4});
-    std::istringstream in{out.str()};
-    container_reader reader{in};
-    auto packed_fleet = make_fleet();
-    const auto packed = fleet::replay_container_set(*packed_fleet, reader, 8);
-
-    EXPECT_EQ(packed.ticks, baseline.ticks);
-    EXPECT_EQ(packed.frames_submitted, baseline.frames_submitted);
-    // Round-robin streaming widened the cache to one chunk per pole.
-    EXPECT_EQ(reader.cache_capacity(), set.pole_count());
-    EXPECT_EQ(reader.chunks_decoded(), reader.chunks().size());
-    for (std::size_t p = 0; p < set.pole_count(); ++p) {
-        const auto& want = baseline_fleet->pole(p).history();
-        const auto& got = packed_fleet->pole(p).history();
-        ASSERT_EQ(got.size(), want.size()) << "pole " << p;
-        for (std::size_t f = 0; f < want.size(); ++f) {
-            EXPECT_EQ(got[f].count, want[f].count) << "pole " << p << " frame " << f;
-            EXPECT_EQ(got[f].status, want[f].status) << "pole " << p << " frame " << f;
-        }
-    }
-    EXPECT_EQ(baseline_fleet->snapshot().aggregate, packed_fleet->snapshot().aggregate);
-}
-
-TEST(container, fleet_replay_rejects_mismatched_containers) {
-    const pole_corpus_set set = synth_set(2, 3);
-    const extent_classifier classifier;
-    std::vector<fleet::pole_setup> setups(2);
-    for (std::size_t i = 0; i < 2; ++i) {
-        setups[i].pole_id = set.poles[i].pole_id;
-        setups[i].seed = set.poles[i].corpus.base_seed;
-        setups[i].supervisor = det_config();
-        setups[i].primary = &classifier;
-    }
-    fleet::fleet_manager fleet{{}, setups};
-
-    {  // a plain corpus container is not a corpus set
-        std::ostringstream out;
-        pack_corpus(out, set.poles[0].corpus);
-        std::istringstream in{out.str()};
-        container_reader reader{in};
-        EXPECT_THROW(fleet::replay_container_set(fleet, reader), invalid_argument_error);
-    }
-    {  // stream seeds must match the fleet's pole seeds
-        pole_corpus_set reseeded = set;
-        reseeded.poles[1].corpus.base_seed ^= 1;
-        std::ostringstream out;
-        pack_corpus_set(out, reseeded);
-        std::istringstream in{out.str()};
-        container_reader reader{in};
-        EXPECT_THROW(fleet::replay_container_set(fleet, reader), invalid_argument_error);
     }
 }
 

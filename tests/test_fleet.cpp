@@ -17,6 +17,7 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "fleet/fleet_manager.hpp"
+#include "replay/replay_driver.hpp"
 #include "runtime/fault_injection.hpp"
 #include "telemetry/export.hpp"
 
@@ -553,22 +554,16 @@ TEST(fleet, healthy_poles_bit_identical_to_solo_replay) {
     const extent_classifier classifier;
     const std::size_t frames = 30;
 
-    replay::pole_corpus_set set;
-    set.name = "parity";
-    for (std::size_t i = 0; i < 3; ++i) {
-        replay::pole_corpus pc;
-        pc.pole_id = pole_name(i);
-        pc.corpus = synth_corpus(500 + i, frames);
-        set.poles.push_back(std::move(pc));
-    }
+    std::vector<replay::frame_corpus> corpora;
+    for (std::size_t i = 0; i < 3; ++i) corpora.push_back(synth_corpus(500 + i, frames));
 
     // Pole 1 suffers a nasty link and a flaky classifier. Poles 0 and 2
     // are healthy.
     const flaky_classifier flaky{classifier, 0.3};
     std::vector<fleet::pole_setup> setups(3);
     for (std::size_t i = 0; i < 3; ++i) {
-        setups[i].pole_id = set.poles[i].pole_id;
-        setups[i].seed = set.poles[i].corpus.base_seed;
+        setups[i].pole_id = pole_name(i);
+        setups[i].seed = corpora[i].base_seed;
         setups[i].supervisor = det_config();
         setups[i].primary = &classifier;
     }
@@ -581,13 +576,19 @@ TEST(fleet, healthy_poles_bit_identical_to_solo_replay) {
     fleet::fleet_manager fleet{{}, setups};
     fleet.pole(0).set_record_history(true);
     fleet.pole(2).set_record_history(true);
-    const auto result = replay_corpus_set(fleet, set, 8);
-    EXPECT_EQ(result.frames_submitted, 3 * frames);
+    // Tick t submits frame t of every pole, then 8 empty ticks drain
+    // delayed messages and backlogs.
+    for (std::size_t f = 0; f < frames; ++f) {
+        for (std::size_t i = 0; i < 3; ++i) fleet.submit(i, corpus_message(corpora[i], f));
+        fleet.tick();
+    }
+    for (int i = 0; i < 8; ++i) fleet.tick();
+    EXPECT_EQ(fleet.current_tick(), frames + 8);
 
     for (const std::size_t pole : {std::size_t{0}, std::size_t{2}}) {
         frame_supervisor solo{det_config(), classifier};
         const replay::replay_result baseline =
-            replay::replay_corpus(solo, set.poles[pole].corpus);
+            replay::replay_corpus(solo, corpora[pole]);
         const auto& history = fleet.pole(pole).history();
         ASSERT_EQ(history.size(), frames) << "pole " << pole;
         for (std::size_t f = 0; f < frames; ++f) {

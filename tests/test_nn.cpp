@@ -303,18 +303,6 @@ TEST(optimizer, adam_minimizes_quadratic) {
     EXPECT_NEAR(w.value[0], 3.0f, 1e-2);
 }
 
-TEST(optimizer, sgd_with_momentum_minimizes) {
-    parameter w{{1}};
-    w.value[0] = 10.0f;
-    sgd opt{sgd_config{0.05, 0.9}};
-    opt.attach({&w});
-    for (int i = 0; i < 300; ++i) {
-        w.grad[0] = 2.0f * (w.value[0] + 1.0f);
-        opt.step();
-    }
-    EXPECT_NEAR(w.value[0], -1.0f, 5e-2);
-}
-
 TEST(optimizer, step_zeroes_gradients) {
     parameter w{{2}};
     adam opt;

@@ -191,6 +191,13 @@ TEST(obs_events, json_lines_render_and_escape) {
     const std::vector<event> events{ev, ev};
     const std::string lines = obs::to_json_lines(events);
     EXPECT_EQ(std::count(lines.begin(), lines.end(), '\n'), 2);
+
+    // Every control character is escaped: \r short, the rest as \u00XX.
+    event ctrl = make_event(event_kind::pole_quarantined, event_severity::error);
+    ctrl.set_pole("p\r\x01");
+    EXPECT_EQ(obs::to_json_line(ctrl),
+              "{\"tick\":0,\"frame\":0,\"kind\":\"pole_quarantined\","
+              "\"severity\":\"error\",\"pole\":\"p\\r\\u0001\"}");
 }
 
 TEST(obs_events, tagging_sink_stamps_pole_and_tick) {

@@ -24,7 +24,6 @@
 #include "quant/calibrate.hpp"
 #include "replay/binary_io.hpp"
 #include "replay/container.hpp"
-#include "replay/corpus_set.hpp"
 #include "replay/frame_format.hpp"
 #include "replay/model_io.hpp"
 #include "replay/parity_checker.hpp"
@@ -269,24 +268,6 @@ TEST(frame_corpus, corrupted_file_fails_cleanly) {
     }
     EXPECT_THROW(load_corpus_file(path), io_error);
     std::filesystem::remove(path);
-}
-
-// ---- multi-pole corpus sets ---------------------------------------------
-
-TEST(corpus_set, poles_get_distinct_seeds_and_names) {
-    const pole_corpus_set set =
-        record_corpus_set(test_record(/*seed=*/91, /*frames=*/2), {"east", "west"});
-    EXPECT_EQ(set.poles[0].pole_id, "east");
-    EXPECT_EQ(set.poles[1].pole_id, "west");
-    EXPECT_NE(set.poles[0].corpus.base_seed, set.poles[1].corpus.base_seed);
-    EXPECT_NE(set.poles[0].corpus.name, set.poles[1].corpus.name);
-    EXPECT_NE(set.poles[0].corpus.frames, set.poles[1].corpus.frames)
-        << "poles must not replay the same scenes";
-
-    // Deterministic from the base config alone.
-    const pole_corpus_set again =
-        record_corpus_set(test_record(/*seed=*/91, /*frames=*/2), {"east", "west"});
-    EXPECT_EQ(again, set);
 }
 
 TEST(frame_corpus, fault_injected_recording_differs) {

@@ -406,8 +406,12 @@ TEST(telemetry, prometheus_renders_label_suffix_as_label_with_escaping) {
 TEST(telemetry, json_export_keeps_composed_names_verbatim) {
     telemetry::metrics_registry reg;
     reg.make_counter(telemetry::labeled_name("pole_frames_total", "pole", "p0")).add(2);
+    // A label value may hold control characters; JSON strings may not.
+    reg.make_counter(telemetry::labeled_name("pole_frames_total", "pole", "a\rb\x01")).add(1);
     const std::string json = telemetry::to_json(reg);
     EXPECT_NE(json.find("\"pole_frames_total@pole=p0\": 2"), std::string::npos);
+    EXPECT_NE(json.find("\"pole_frames_total@pole=a\\rb\\u0001\": 1"), std::string::npos) << json;
+    EXPECT_EQ(json.find_first_of("\r\x01"), std::string::npos);
 }
 
 TEST(telemetry, chrome_trace_export_normalizes_timestamps) {
