@@ -257,7 +257,6 @@ std::vector<row_result> measure_fleet(std::size_t poles) {
         ++snap.included;
     }
     board.publish(snap);
-    fleet::occupancy_reader reader{board};
 
     constexpr std::size_t ops = 4096;
     // Three readers hammering the board while the writer republishes: the
@@ -300,13 +299,6 @@ std::vector<row_result> measure_fleet(std::size_t poles) {
          [&] {
              std::uint64_t acc = 0;
              for (std::size_t i = 0; i < ops; ++i) acc += board.read().aggregate;
-             sink(acc);
-         },
-         us_per(ops)},
-        {"cached_read_us", 1,
-         [&] {
-             std::uint64_t acc = 0;
-             for (std::size_t i = 0; i < ops; ++i) acc += reader.snapshot().aggregate;
              sink(acc);
          },
          us_per(ops)},

@@ -140,7 +140,7 @@ bool run_suite(loaded_golden& golden, telemetry::metrics_registry& metrics) {
         gate(replay::check_thread_parity(*corpus, sup, int8, {}, &metrics));
     }
     gate(replay::check_logit_parity(golden.clean, sup.capture, extractor,
-                                    golden.model.network(), golden.int8, {}, &metrics));
+                                    golden.model.network(), golden.int8, &metrics));
 
     // Informational: the ladder's rung-1 clusterer vs the adaptive stage.
     const replay::parity_report ladder = replay::check_ladder_divergence(

@@ -35,7 +35,10 @@
 #      chunk
 #  11. The replay benchmark build (Release): replaybench/ is its own
 #      CMake project over src/, so a src/ change that drops a symbol the
-#      benchmark calls fails here; then its own tests
+#      benchmark calls fails here; then its own tests, then an end-to-end
+#      smoke per workload (gen a seed-4 corpus into a temporary directory,
+#      check the golden parity, run 2 s untraced, require
+#      "correct": true; about 40 s for the three workloads)
 #
 # Setting HAWC_SANITIZE runs a single sanitizer configuration over the
 # full suite instead (any -fsanitize= value works):
@@ -129,8 +132,25 @@ for corpus in clean degraded; do
 done
 echo "corpus-container verify OK"
 
-echo "== phase 11/11: replay benchmark build + tests (Release) =="
+echo "== phase 11/11: replay benchmark build + tests + smoke (Release) =="
 cmake -S "${repo_root}/replaybench" -B "${repo_root}/build-replaybench" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${repo_root}/build-replaybench" --target replaybench replaybench_tests -j "$(nproc)"
 "${repo_root}/build-replaybench/replaybench_tests"
+replaybench="${repo_root}/build-replaybench/replaybench"
+smoke_dir="$(mktemp -d)"
+trap 'rm -rf "${smoke_dir}"' EXIT  # the corpora are 30-95 MB each
+for workload in walkway_sparse fleet_faulty crowd_dense; do
+  corpus="${smoke_dir}/${workload}.hwcc"
+  "${replaybench}" gen --workload "${workload}" --seed 4 --out "${corpus}"
+  "${replaybench}" check --golden "${repo_root}/data/golden"
+  "${replaybench}" run --workload "${workload}" --seed 4 --seconds 2 --trace 0 \
+    --corpus "${corpus}" --golden "${repo_root}/data/golden" > "${smoke_dir}/run.txt"
+  if ! tail -n 1 "${smoke_dir}/run.txt" | grep -q '"correct": true'; then
+    tail -n 5 "${smoke_dir}/run.txt"
+    echo "replaybench ${workload}: last line does not read \"correct\": true" >&2
+    exit 1
+  fi
+  rm -f "${corpus}"
+  echo "replaybench ${workload} smoke OK"
+done
 echo "replay benchmark build OK"

@@ -53,14 +53,26 @@ std::vector<double> knn_distance_curve(const neighbor_grid& grid, std::size_t k)
     return distances;
 }
 
+namespace {
+
+// The elbow marks the transition from cluster points (small k-NN
+// distances) to noise points (large ones). Relative jumps deep inside the
+// dense bulk or between the last few extreme outliers are not that
+// transition, so the search is restricted to this quantile band of the
+// sorted curve.
+constexpr double band_lo = 0.60;
+constexpr double band_hi = 0.985;
+
+}  // namespace
+
 double epsilon_from_curve(std::span<const double> curve, const adaptive_eps_config& config) {
     if (curve.size() < 2) return config.min_eps;
 
-    // Restrict to the transition band (see adaptive_eps_config) and skip
-    // the near-duplicate region below min_eps, where relative jumps are
-    // measurement noise rather than the elbow.
-    auto lo = static_cast<std::size_t>(config.band_lo * static_cast<double>(curve.size()));
-    auto hi = static_cast<std::size_t>(config.band_hi * static_cast<double>(curve.size()));
+    // Restrict to the transition band and skip the near-duplicate region
+    // below min_eps, where relative jumps are measurement noise rather
+    // than the elbow.
+    auto lo = static_cast<std::size_t>(band_lo * static_cast<double>(curve.size()));
+    auto hi = static_cast<std::size_t>(band_hi * static_cast<double>(curve.size()));
     while (lo < curve.size() && curve[lo] < config.min_eps) ++lo;
     // Duplicate-heavy clouds (stuck sensor returns) can push `lo` past the
     // end of the curve; clamping with inverted bounds would read past it.

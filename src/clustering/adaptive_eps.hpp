@@ -17,14 +17,6 @@ struct adaptive_eps_config {
     double max_eps = 2.0;
     std::size_t min_points = 5; // DBSCAN core threshold (m in the paper)
     cluster_metric metric{};
-
-    // The elbow marks the transition from cluster points (small k-NN
-    // distances) to noise points (large ones). Relative jumps deep inside
-    // the dense bulk or between the last few extreme outliers are not
-    // that transition, so the search is restricted to this quantile band
-    // of the sorted curve.
-    double band_lo = 0.60;
-    double band_hi = 0.985;
 };
 
 /// Sorted (ascending) distance from every point to its k-th nearest

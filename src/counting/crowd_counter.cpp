@@ -13,6 +13,15 @@
 
 namespace hawc {
 
+namespace {
+
+constexpr double cell_size_m = 0.3;
+constexpr double person_footprint_m2 = 0.36;       // median single-person footprint
+constexpr double single_person_max_extent_m = 1.1;  // wider clusters get split
+constexpr std::size_t max_per_cluster = 15;
+
+}  // namespace
+
 crowd_counter::crowd_counter(const capture_config& config, const human_classifier& classifier)
     : config_{config}, classifier_{&classifier} {}
 
@@ -21,22 +30,21 @@ std::size_t estimate_multiplicity(const point_cloud& cluster, const multiplicity
 
     const aabb box = cluster.bounds();
     const vec3 extent = box.size();
-    if (std::max(extent.x, extent.y) <= config.single_person_max_extent_m) return 1;
+    if (std::max(extent.x, extent.y) <= single_person_max_extent_m) return 1;
 
     // Occupied ground footprint: unique xy grid cells times cell area.
     std::vector<std::pair<std::int64_t, std::int64_t>> cells;
     cells.reserve(cluster.size());
     for (const auto& p : cluster) {
-        cells.emplace_back(static_cast<std::int64_t>(std::floor(p.x / config.cell_size_m)),
-                           static_cast<std::int64_t>(std::floor(p.y / config.cell_size_m)));
+        cells.emplace_back(static_cast<std::int64_t>(std::floor(p.x / cell_size_m)),
+                           static_cast<std::int64_t>(std::floor(p.y / cell_size_m)));
     }
     std::sort(cells.begin(), cells.end());
     const auto unique_cells =
         static_cast<double>(std::unique(cells.begin(), cells.end()) - cells.begin());
-    const double area = unique_cells * config.cell_size_m * config.cell_size_m;
-    const auto people =
-        static_cast<std::size_t>(std::lround(area / config.person_footprint_m2));
-    return std::clamp<std::size_t>(people, 1, config.max_per_cluster);
+    const double area = unique_cells * cell_size_m * cell_size_m;
+    const auto people = static_cast<std::size_t>(std::lround(area / person_footprint_m2));
+    return std::clamp<std::size_t>(people, 1, max_per_cluster);
 }
 
 std::size_t crowd_counter::count_one(const point_cloud& cluster, rng& random) const {

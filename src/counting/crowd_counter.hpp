@@ -25,20 +25,17 @@ using clusterer_fn = std::function<std::vector<point_cloud>(const point_cloud&)>
 /// Merged-cluster handling. In dense crowds DBSCAN can merge adjacent
 /// pedestrians into one cluster; such a mega-cluster neither looks like
 /// a single person to the classifier nor should count as one. When a
-/// cluster is wider than any single person, the counter estimates how
-/// many people could occupy its ground footprint (occupied xy grid cells
-/// times cell area over a typical per-person footprint), splits it into
-/// that many person-sized sub-clusters with k-means, and classifies each
-/// sub-cluster individually. This is an extension over the paper's
-/// described pipeline — required to keep Table VI counts near-linear at
+/// cluster is wider than any single person (1.1 m), the counter
+/// estimates how many people could occupy its ground footprint (occupied
+/// 0.3 m xy grid cells times cell area over a 0.36 m^2 per-person
+/// footprint, at most 15), splits it into that many person-sized
+/// sub-clusters with k-means, and classifies each sub-cluster
+/// individually. This is an extension over the paper's described
+/// pipeline — required to keep Table VI counts near-linear at
 /// 2+ people/m^2 — and can be disabled to recover plain
 /// one-per-cluster counting.
 struct multiplicity_config {
     bool enabled = true;
-    double cell_size_m = 0.3;
-    double person_footprint_m2 = 0.36;       // median single-person footprint
-    double single_person_max_extent_m = 1.1;  // wider clusters get split
-    std::size_t max_per_cluster = 15;
 };
 
 /// Estimated person capacity of an oversized cluster's footprint.

@@ -25,7 +25,7 @@ fleet_manager::fleet_manager(const fleet_config& config,
         HAWC_REQUIRE(setup.primary != nullptr, "pole needs a primary classifier");
         poles_.push_back(std::make_unique<pole_runtime>(
             setup.pole_id, setup.seed, setup.supervisor, setup.link, setup.watchdog,
-            *setup.primary, setup.fallback, config_.max_inbox));
+            *setup.primary, setup.fallback));
 
         pole_metrics pm;
         const std::string& id = setup.pole_id;
@@ -124,7 +124,7 @@ void fleet_manager::tick() {
     global_pool().parallel_for(0, poles_.size(), 1,
                                [&](std::size_t lo, std::size_t hi, std::size_t) {
                                    for (std::size_t i = lo; i < hi; ++i) {
-                                       poles_[i]->run_tick(now, config_.frames_per_tick);
+                                       poles_[i]->run_tick(now);
                                    }
                                });
 

@@ -56,11 +56,6 @@ struct fleet_config {
     /// within_staleness(tick, exclude_after_ticks).
     std::uint64_t stale_after_ticks = 3;
     std::uint64_t exclude_after_ticks = 10;
-
-    /// Buffered frames per pole; overflow sheds the oldest.
-    std::size_t max_inbox = 8;
-    /// Frames each pole may process per tick.
-    std::size_t frames_per_tick = 4;
 };
 
 class fleet_manager {

@@ -80,16 +80,4 @@ occupancy_snapshot occupancy_board::read() const {
     }
 }
 
-const occupancy_snapshot& occupancy_reader::snapshot() {
-    const std::uint64_t version = board_->version();
-    if (have_cached_ && cached_.version == version) {
-        ++hits_;
-        return cached_;
-    }
-    cached_ = board_->read();
-    have_cached_ = true;
-    ++refreshes_;
-    return cached_;
-}
-
 }  // namespace hawc::fleet

@@ -14,9 +14,7 @@
 //
 // Every snapshot carries the tick it was published at plus per-pole
 // update ticks, making staleness an explicit, testable bound
-// (within_staleness) instead of an implicit hope. occupancy_reader adds
-// read-side caching keyed on the board version, so a hot dashboard loop
-// costs one atomic load per poll until the fleet actually publishes.
+// (within_staleness) instead of an implicit hope.
 
 #include <atomic>
 #include <cstdint>
@@ -99,28 +97,6 @@ private:
     std::atomic<std::uint32_t> included_{0};
     std::atomic<std::uint32_t> pole_count_{0};
     std::vector<slot> slots_;
-};
-
-/// Read-side cache over a board: re-reads only when the board's version
-/// moved, so steady-state polling is one atomic load. One reader object
-/// per consumer thread (the cache itself is not synchronised).
-class occupancy_reader {
-public:
-    explicit occupancy_reader(const occupancy_board& board) : board_{&board} {}
-
-    /// The freshest snapshot, served from cache when the board has not
-    /// published since the last call.
-    const occupancy_snapshot& snapshot();
-
-    std::uint64_t cache_hits() const { return hits_; }
-    std::uint64_t refreshes() const { return refreshes_; }
-
-private:
-    const occupancy_board* board_;
-    occupancy_snapshot cached_;
-    bool have_cached_ = false;
-    std::uint64_t hits_ = 0;
-    std::uint64_t refreshes_ = 0;
 };
 
 }  // namespace hawc::fleet

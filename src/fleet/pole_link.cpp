@@ -25,6 +25,9 @@ bool verify_checksum(const link_message& msg) {
 
 namespace {
 
+// A delayed message is held for 1..delay_ticks_max ticks.
+constexpr std::size_t delay_ticks_max = 3;
+
 // Flip the lowest mantissa bit of one coordinate: the smallest on-wire
 // corruption a checksum must still catch.
 void flip_coordinate_bit(double& value) {
@@ -61,10 +64,9 @@ void pole_link::send(link_message msg) {
     }
 
     std::size_t due_in = 0;
-    if (config_.delay_ticks_max > 0 && chaos_.chance(config_.delay_prob)) {
+    if (chaos_.chance(config_.delay_prob)) {
         ++stats_.delayed;
-        due_in = 1 + static_cast<std::size_t>(
-                         chaos_.uniform_index(config_.delay_ticks_max));
+        due_in = 1 + static_cast<std::size_t>(chaos_.uniform_index(delay_ticks_max));
     }
 
     const bool duplicate = chaos_.chance(config_.duplicate_prob);

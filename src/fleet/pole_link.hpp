@@ -26,8 +26,7 @@ namespace hawc::fleet {
 /// Per-message fault probabilities; all default to a clean link.
 struct link_fault_config {
     double drop_prob = 0.0;       // message vanishes
-    double delay_prob = 0.0;      // message held for 1..delay_ticks_max ticks
-    std::size_t delay_ticks_max = 3;
+    double delay_prob = 0.0;      // message held for 1..3 ticks
     double reorder_prob = 0.0;    // message jumps ahead of the queue head
     double duplicate_prob = 0.0;  // message delivered twice
     double corrupt_prob = 0.0;    // one payload bit flipped after checksum

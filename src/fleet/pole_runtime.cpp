@@ -14,6 +14,13 @@ namespace {
 constexpr std::size_t link_stream_index = 0xf1ee71a5;
 constexpr std::size_t backoff_stream_index = 0xbac0ff;
 
+// Buffered frames per pole; an arrival into a full inbox sheds the oldest.
+constexpr std::size_t max_inbox = 8;
+// Frames each pole may process per tick.
+constexpr std::size_t frames_per_tick = 4;
+// Consecutive link checksum failures before quarantine.
+constexpr std::size_t max_checksum_failures = 4;
+
 }  // namespace
 
 const char* to_string(pole_state state) {
@@ -30,11 +37,10 @@ pole_runtime::pole_runtime(std::string pole_id, std::uint64_t seed,
                            const link_fault_config& link,
                            const watchdog_config& watchdog,
                            const human_classifier& primary,
-                           const human_classifier* fallback, std::size_t max_inbox)
+                           const human_classifier* fallback)
     : id_{std::move(pole_id)},
       stream_seed_{seed},
       watchdog_{watchdog},
-      max_inbox_{std::max<std::size_t>(1, max_inbox)},
       supervisor_{supervisor, primary, fallback},
       link_{link, replay::frame_seed(seed, link_stream_index)},
       backoff_rng_{replay::frame_seed(seed, backoff_stream_index)} {}
@@ -58,7 +64,7 @@ void pole_runtime::emit(telemetry::event ev) {
     if (events_.target() != nullptr) events_.publish(ev);
 }
 
-void pole_runtime::run_tick(std::uint64_t tick, std::size_t budget) {
+void pole_runtime::run_tick(std::uint64_t tick) {
     events_.set_tick(tick);
     auto arrivals = link_.receive();
 
@@ -84,7 +90,7 @@ void pole_runtime::run_tick(std::uint64_t tick, std::size_t budget) {
     }
 
     for (auto& msg : arrivals) {
-        if (inbox_.size() >= max_inbox_) {
+        if (inbox_.size() >= max_inbox) {
             inbox_.pop_front();
             ++stats_.shed_inbox_overflow;
         }
@@ -92,7 +98,7 @@ void pole_runtime::run_tick(std::uint64_t tick, std::size_t budget) {
     }
 
     std::size_t used = 0;
-    while (used < budget && !inbox_.empty() && state_ != pole_state::quarantined) {
+    while (used < frames_per_tick && !inbox_.empty() && state_ != pole_state::quarantined) {
         link_message msg = std::move(inbox_.front());
         inbox_.pop_front();
         ++used;
@@ -117,7 +123,7 @@ void pole_runtime::process_message(link_message msg, std::uint64_t tick) {
             ev.add_field("streak", static_cast<double>(checksum_streak_));
             emit(ev);
         }
-        if (checksum_streak_ >= watchdog_.max_checksum_failures) quarantine(tick);
+        if (checksum_streak_ >= max_checksum_failures) quarantine(tick);
         return;
     }
     checksum_streak_ = 0;

@@ -7,7 +7,7 @@
 // shapes, reusing the PR1 taxonomy the supervisor already accounts:
 //
 //   repeatedly-failing  consecutive dropped frames past a threshold
-//   corrupting          consecutive link checksum failures past a threshold
+//   corrupting          4 consecutive link checksum failures
 //   hung                no frame processed for max_silent_ticks
 //
 // Any of them quarantines the pole: its inbox is discarded, arrivals are
@@ -48,8 +48,6 @@ const char* to_string(pole_state state);
 struct watchdog_config {
     /// Consecutive dropped frames before quarantine.
     std::size_t max_consecutive_dropped = 8;
-    /// Consecutive link checksum failures before quarantine.
-    std::size_t max_checksum_failures = 4;
     /// Ticks without processing any frame before the pole counts as hung;
     /// 0 disables (a silent pole is then handled by the fleet ladder).
     std::uint64_t max_silent_ticks = 0;
@@ -93,21 +91,21 @@ public:
     /// `seed` doubles as the frame-stream base seed (must match the
     /// pole's corpus base_seed for replay parity) and, forked, as the
     /// backoff jitter stream. `primary`/`fallback` follow the
-    /// frame_supervisor lifetime rules. `max_inbox` bounds buffered
-    /// frames; overflow sheds the oldest.
+    /// frame_supervisor lifetime rules. The inbox buffers 8 frames;
+    /// an arrival into a full inbox sheds the oldest.
     pole_runtime(std::string pole_id, std::uint64_t seed,
                  const supervisor_config& supervisor, const link_fault_config& link,
                  const watchdog_config& watchdog, const human_classifier& primary,
-                 const human_classifier* fallback, std::size_t max_inbox);
+                 const human_classifier* fallback);
 
     /// Post one frame onto this pole's link (faults apply in transit).
     void submit(link_message msg);
 
     /// One tick of this pole's fault domain: drain the link, run up to
-    /// `budget` inbox frames through the supervisor, and advance the
-    /// watchdog. Only this pole's state is touched — safe to run all
-    /// poles' ticks concurrently.
-    void run_tick(std::uint64_t tick, std::size_t budget);
+    /// 4 inbox frames through the supervisor, and advance the watchdog.
+    /// Only this pole's state is touched — safe to run all poles' ticks
+    /// concurrently.
+    void run_tick(std::uint64_t tick);
 
     const std::string& id() const { return id_; }
     std::uint64_t stream_seed() const { return stream_seed_; }
@@ -157,7 +155,6 @@ private:
     std::string id_;
     std::uint64_t stream_seed_;
     watchdog_config watchdog_;
-    std::size_t max_inbox_;
 
     frame_supervisor supervisor_;
     pole_link link_;

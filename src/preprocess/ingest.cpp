@@ -12,25 +12,10 @@ bool finite_point(const vec3& p) {
 
 }  // namespace
 
-point_cloud drop_non_finite(const point_cloud& cloud) {
-    return cloud.filtered(finite_point);
-}
-
-point_cloud crop_roi(const point_cloud& raw, const roi_config& roi) {
-    return raw.filtered([&](const vec3& p) {
-        return finite_point(p) && p.x >= roi.x_min_m && p.x <= roi.x_max_m &&
-               p.y >= roi.y_min_m && p.y <= roi.y_max_m && p.z >= roi.z_min_m &&
-               p.z <= roi.z_max_m;
-    });
-}
-
-point_cloud remove_ground(const point_cloud& cloud, const ground_filter_config& config) {
-    return cloud.filtered([&](const vec3& p) { return p.z >= config.z_min_m; });
-}
-
 point_cloud ingest(const point_cloud& raw, const roi_config& roi,
                    const ground_filter_config& ground) {
-    return remove_ground(crop_roi(raw, roi), ground);
+    ingest_stats unused;
+    return ingest(raw, roi, ground, roi.z_min_m, unused);
 }
 
 point_cloud ingest(const point_cloud& raw, const roi_config& roi,

@@ -20,16 +20,6 @@ struct roi_config {
     double z_max_m = 0.5;
 };
 
-/// Drop points with any non-finite coordinate. Real sensors emit NaN/Inf
-/// returns under fault conditions (saturation, crosstalk, truncated UDP
-/// packets); letting them through would poison kd-tree queries, centroid
-/// and bounds geometry downstream, so ingestion guarantees finiteness
-/// explicitly rather than relying on NaN comparison semantics.
-point_cloud drop_non_finite(const point_cloud& cloud);
-
-/// Keep only finite points inside the ROI box.
-point_cloud crop_roi(const point_cloud& raw, const roi_config& roi = {});
-
 /// Capture-health statistics gathered during ingestion, for callers
 /// (like the streaming supervisor) that validate every frame. Collected
 /// inside the crop pass so validation costs no extra sweep of the raw
@@ -47,9 +37,13 @@ struct ground_filter_config {
     double z_min_m = -2.6;
 };
 
-point_cloud remove_ground(const point_cloud& cloud, const ground_filter_config& config = {});
-
-/// Full ingestion: ROI crop then ground removal.
+/// Full ingestion, one pass over the raw cloud: keep the points that are
+/// finite, inside the ROI box and at or above the ground threshold, in
+/// input order. Real sensors emit NaN/Inf returns under fault conditions
+/// (saturation, crosstalk, truncated UDP packets); letting them through
+/// would poison neighbour queries, centroid and bounds geometry
+/// downstream, so ingestion guarantees finiteness explicitly rather than
+/// relying on NaN comparison semantics.
 point_cloud ingest(const point_cloud& raw, const roi_config& roi = {},
                    const ground_filter_config& ground = {});
 

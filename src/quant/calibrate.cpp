@@ -14,6 +14,10 @@ namespace hawc {
 
 namespace {
 
+// The paper calibrates on 100 random training samples.
+constexpr std::size_t max_calibration_samples = 100;
+constexpr std::size_t calibration_batch = 16;
+
 /// Symmetric per-output-channel weight quantization. `channel_stride`
 /// is the distance between consecutive output-channel entries (weights
 /// are stored with Cout fastest for both conv and dense).
@@ -71,18 +75,16 @@ tensor apply_fold_conv(const conv2d& conv, const bn_fold& fold) {
 
 }  // namespace
 
-quantized_model quantize_model(sequential& model, const std::vector<tensor>& calibration,
-                               const quantize_config& config) {
+quantized_model quantize_model(sequential& model, const std::vector<tensor>& calibration) {
     HAWC_REQUIRE(!calibration.empty(), "calibration set must be non-empty");
 
     // --- Pass 1: observe activation ranges layer by layer. ---
-    const std::size_t samples =
-        std::min(calibration.size(), config.max_calibration_samples);
+    const std::size_t samples = std::min(calibration.size(), max_calibration_samples);
     range_observer input_observer;
     std::vector<range_observer> observers(model.layer_count());
 
-    for (std::size_t begin = 0; begin < samples; begin += config.calibration_batch) {
-        const std::size_t end = std::min(begin + config.calibration_batch, samples);
+    for (std::size_t begin = 0; begin < samples; begin += calibration_batch) {
+        const std::size_t end = std::min(begin + calibration_batch, samples);
         std::vector<tensor> chunk(calibration.begin() + static_cast<std::ptrdiff_t>(begin),
                                   calibration.begin() + static_cast<std::ptrdiff_t>(end));
         tensor x = tensor::stack(chunk);

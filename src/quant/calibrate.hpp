@@ -12,16 +12,11 @@
 
 namespace hawc {
 
-struct quantize_config {
-    std::size_t max_calibration_samples = 100;
-    std::size_t calibration_batch = 16;
-};
-
-/// Quantize `model` using activation ranges observed on `calibration`
-/// (batch-1 tensors). Throws invalid_argument_error if the architecture
-/// contains a layer the int8 backend does not support.
-quantized_model quantize_model(sequential& model, const std::vector<tensor>& calibration,
-                               const quantize_config& config = {});
+/// Quantize `model` using activation ranges observed on the first 100
+/// tensors of `calibration` (batch-1 tensors, run 16 at a time). Throws
+/// invalid_argument_error if the architecture contains a layer the int8
+/// backend does not support.
+quantized_model quantize_model(sequential& model, const std::vector<tensor>& calibration);
 
 /// Table-I-style metrics of a quantized classifier.
 eval_metrics evaluate_quantized(const quantized_model& model, const labelled_dataset& data,

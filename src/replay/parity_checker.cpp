@@ -17,6 +17,12 @@ namespace hawc::replay {
 
 namespace {
 
+// Logit parity (see check_logit_parity): |int8 - fp32| <= abs + rel * |fp32|,
+// and label flips count only past fp32's own decisiveness margin.
+constexpr double logit_abs_tolerance = 0.25;
+constexpr double logit_rel_tolerance = 0.10;
+constexpr double label_margin_tolerance = 0.02;
+
 const char* status_name(frame_status s) {
     switch (s) {
         case frame_status::ok: return "ok";
@@ -216,7 +222,6 @@ parity_report check_thread_parity(const frame_corpus& corpus, const supervisor_c
 parity_report check_logit_parity(const frame_corpus& corpus, const capture_config& config,
                                  const cnn_feature_extractor& extractor,
                                  const sequential& fp32, const quantized_model& int8,
-                                 const parity_config& parity,
                                  telemetry::metrics_registry* metrics) {
     parity_report report;
     report.pair_name = "fp32_vs_int8_logits";
@@ -255,7 +260,7 @@ parity_report check_logit_parity(const frame_corpus& corpus, const capture_confi
                     if (k != fp_arg) runner_up = std::max(runner_up, double{fp_logits[k]});
                 }
                 const double margin = double{fp_logits[fp_arg]} - runner_up;
-                if (margin <= parity.label_margin_tolerance) {
+                if (margin <= label_margin_tolerance) {
                     ++report.near_tie_flips;
                 } else {
                     std::ostringstream detail;
@@ -273,8 +278,8 @@ parity_report check_logit_parity(const frame_corpus& corpus, const capture_confi
             for (std::size_t k = 0; k < fp_logits.size(); ++k) {
                 const double delta = std::abs(double{fp_logits[k]} - double{q_logits[k]});
                 report.max_logit_delta = std::max(report.max_logit_delta, delta);
-                const double budget = parity.logit_abs_tolerance +
-                                      parity.logit_rel_tolerance * std::abs(double{fp_logits[k]});
+                const double budget = logit_abs_tolerance +
+                                      logit_rel_tolerance * std::abs(double{fp_logits[k]});
                 if (delta > budget) {
                     std::ostringstream detail;
                     detail << "logit[" << k << "] " << fp_logits[k] << " vs " << q_logits[k]

@@ -34,20 +34,6 @@
 namespace hawc::replay {
 
 struct parity_config {
-    /// Logit agreement: |int8 - fp32| <= abs + rel * |fp32|. The defaults
-    /// bound the error of per-tensor int8 requantization on logits in the
-    /// trained models' typical +-10 range; see DESIGN.md "Replay & parity".
-    double logit_abs_tolerance = 0.25;
-    double logit_rel_tolerance = 0.10;
-
-    /// A label flip only counts as divergence when fp32 itself was
-    /// decisive: its winning logit leads the runner-up by more than this.
-    /// On a near-tie the fp32 answer is a coin flip, and requiring int8's
-    /// argmax to land on the same side of the tie is not a meaningful
-    /// quantization contract; such flips are tallied as near_tie_flips
-    /// instead (and the logits still must agree within tolerance).
-    double label_margin_tolerance = 0.02;
-
     /// Ladder pair: frames where adaptive-eps and fixed-eps counts differ
     /// by more than this diverge (the rungs are different estimators, so
     /// exact parity is not the contract — bounded drift is).
@@ -95,11 +81,16 @@ parity_report check_thread_parity(const frame_corpus& corpus, const supervisor_c
 
 /// Per-cluster classifier parity: cluster each frame once, featurize each
 /// cluster once, and diff fp32 logits against the int8 model's — labels
-/// exact, logits within tolerance.
+/// exact, logits within |int8 - fp32| <= 0.25 + 0.10 * |fp32|. That bound
+/// covers per-tensor int8 requantization error on logits in the trained
+/// models' typical +-10 range; see DESIGN.md "Replay & parity". A label
+/// flip only counts as divergence when fp32 itself was decisive (its
+/// winning logit leads the runner-up by more than 0.02): on a near-tie
+/// the fp32 answer is a coin flip, so such flips are tallied as
+/// near_tie_flips instead (and the logits still must agree).
 parity_report check_logit_parity(const frame_corpus& corpus, const capture_config& config,
                                  const cnn_feature_extractor& extractor,
                                  const sequential& fp32, const quantized_model& int8,
-                                 const parity_config& parity = {},
                                  telemetry::metrics_registry* metrics = nullptr);
 
 /// Degradation-ladder drift: adaptive-eps counting vs the fixed-eps

@@ -21,17 +21,22 @@ const char* to_string(fault_kind kind) {
 
 namespace {
 
-point_cloud apply_beam_dropout(const point_cloud& cloud, const fault_injection_config& cfg,
-                               rng& random) {
+// Fault severities.
+constexpr double dropout_fraction_min = 0.5;  // fraction of points lost
+constexpr double dropout_fraction_max = 0.99;
+constexpr double range_jitter_sigma_m = 2.0;  // radial noise magnitude
+constexpr double non_finite_fraction = 0.03;  // points poisoned with NaN/Inf
+constexpr double truncated_keep_max = 0.1;    // keep at most this fraction
+constexpr double duplicate_fraction = 0.8;    // duplicates appended, rel. to size
+
+point_cloud apply_beam_dropout(const point_cloud& cloud, rng& random) {
     // Losing channels thins the whole capture; severity varies frame to
     // frame, occasionally wiping out nearly everything.
-    const double fraction =
-        random.uniform(cfg.dropout_fraction_min, cfg.dropout_fraction_max);
+    const double fraction = random.uniform(dropout_fraction_min, dropout_fraction_max);
     return cloud.filtered([&](const vec3&) { return !random.chance(fraction); });
 }
 
-point_cloud apply_range_jitter(const point_cloud& cloud, const fault_injection_config& cfg,
-                               rng& random) {
+point_cloud apply_range_jitter(const point_cloud& cloud, rng& random) {
     // Radial noise along the beam: the sensor sits at the origin, so a
     // range error scales the return along its direction vector.
     point_cloud out;
@@ -42,20 +47,19 @@ point_cloud apply_range_jitter(const point_cloud& cloud, const fault_injection_c
             out.push_back(p);
             continue;
         }
-        const double scale = 1.0 + random.normal(0.0, cfg.range_jitter_sigma_m) / range;
+        const double scale = 1.0 + random.normal(0.0, range_jitter_sigma_m) / range;
         out.push_back(p * scale);
     }
     return out;
 }
 
-point_cloud apply_non_finite(const point_cloud& cloud, const fault_injection_config& cfg,
-                             rng& random) {
+point_cloud apply_non_finite(const point_cloud& cloud, rng& random) {
     point_cloud out = cloud;
     constexpr double poisons[] = {std::numeric_limits<double>::quiet_NaN(),
                                   std::numeric_limits<double>::infinity(),
                                   -std::numeric_limits<double>::infinity()};
     for (auto& p : out) {
-        if (!random.chance(cfg.non_finite_fraction)) continue;
+        if (!random.chance(non_finite_fraction)) continue;
         const double poison = poisons[random.uniform_index(3)];
         switch (random.uniform_index(3)) {
             case 0: p.x = poison; break;
@@ -66,24 +70,22 @@ point_cloud apply_non_finite(const point_cloud& cloud, const fault_injection_con
     return out;
 }
 
-point_cloud apply_truncated_frame(const point_cloud& cloud,
-                                  const fault_injection_config& cfg, rng& random) {
+point_cloud apply_truncated_frame(const point_cloud& cloud, rng& random) {
     // Partial frame: the tail of the rotation never arrives.
     const auto keep = static_cast<std::size_t>(static_cast<double>(cloud.size()) *
-                                               random.uniform(0.0, cfg.truncated_keep_max));
+                                               random.uniform(0.0, truncated_keep_max));
     point_cloud out;
     out.reserve(keep);
     for (std::size_t i = 0; i < keep; ++i) out.push_back(cloud[i]);
     return out;
 }
 
-point_cloud apply_duplicate_points(const point_cloud& cloud,
-                                   const fault_injection_config& cfg, rng& random) {
+point_cloud apply_duplicate_points(const point_cloud& cloud, rng& random) {
     if (cloud.empty()) return cloud;
     // Stuck beams re-report a handful of returns over and over.
     point_cloud out = cloud;
     const auto extras = static_cast<std::size_t>(static_cast<double>(cloud.size()) *
-                                                 cfg.duplicate_fraction);
+                                                 duplicate_fraction);
     const std::size_t stuck_sources = 1 + random.uniform_index(4);
     std::vector<vec3> sources;
     for (std::size_t i = 0; i < stuck_sources; ++i) {
@@ -100,13 +102,11 @@ point_cloud apply_duplicate_points(const point_cloud& cloud,
 point_cloud fault_injector::apply(fault_kind kind, const point_cloud& clean, rng& random) {
     ++injected_[static_cast<std::size_t>(kind)];
     switch (kind) {
-        case fault_kind::beam_dropout: return apply_beam_dropout(clean, config_, random);
-        case fault_kind::range_jitter: return apply_range_jitter(clean, config_, random);
-        case fault_kind::non_finite: return apply_non_finite(clean, config_, random);
-        case fault_kind::truncated_frame:
-            return apply_truncated_frame(clean, config_, random);
-        case fault_kind::duplicate_points:
-            return apply_duplicate_points(clean, config_, random);
+        case fault_kind::beam_dropout: return apply_beam_dropout(clean, random);
+        case fault_kind::range_jitter: return apply_range_jitter(clean, random);
+        case fault_kind::non_finite: return apply_non_finite(clean, random);
+        case fault_kind::truncated_frame: return apply_truncated_frame(clean, random);
+        case fault_kind::duplicate_points: return apply_duplicate_points(clean, random);
     }
     return clean;
 }

@@ -32,21 +32,14 @@ inline constexpr std::size_t fault_kind_count = 5;
 
 const char* to_string(fault_kind kind);
 
+// Per-frame probability that each fault fires (independently). Each
+// fault's severity is fixed in fault_injection.cpp.
 struct fault_injection_config {
-    // Per-frame probability that each fault fires (independently).
     double beam_dropout_prob = 0.05;
     double range_jitter_prob = 0.05;
     double non_finite_prob = 0.05;
     double truncated_frame_prob = 0.05;
     double duplicate_points_prob = 0.05;
-
-    // Severity knobs.
-    double dropout_fraction_min = 0.5;    // fraction of points lost
-    double dropout_fraction_max = 0.99;
-    double range_jitter_sigma_m = 2.0;    // radial noise magnitude
-    double non_finite_fraction = 0.03;    // points poisoned with NaN/Inf
-    double truncated_keep_max = 0.1;      // keep at most this fraction
-    double duplicate_fraction = 0.8;      // duplicates appended, rel. to size
 };
 
 class fault_injector {
@@ -64,7 +57,6 @@ public:
         return injected_[static_cast<std::size_t>(kind)];
     }
     std::uint64_t total_injected() const;
-    void reset_counts() { injected_.fill(0); }
 
 private:
     fault_injection_config config_;

@@ -215,9 +215,9 @@ TEST(multiplicity, clamped_by_max) {
     for (int i = 0; i < 3000; ++i) {
         huge.push_back({10.0 + r.uniform(0.0, 20.0), r.uniform(-8.0, 8.0), -2.0});
     }
-    multiplicity_config cfg;
-    cfg.max_per_cluster = 5;
-    EXPECT_EQ(estimate_multiplicity(huge, cfg), 5u);
+    // A 20 x 16 m footprint holds hundreds of people; the estimate stops
+    // at the 15-per-cluster cap.
+    EXPECT_EQ(estimate_multiplicity(huge, multiplicity_config{}), 15u);
 }
 
 TEST(multiplicity, empty_cluster_is_one) {

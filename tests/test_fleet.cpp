@@ -162,11 +162,11 @@ TEST(fleet_link, corruption_is_caught_by_checksum) {
 TEST(fleet_link, delayed_messages_arrive_after_their_ticks) {
     fleet::link_fault_config faults;
     faults.delay_prob = 1.0;
-    faults.delay_ticks_max = 2;
     fleet::pole_link link{faults, 3};
     for (std::uint64_t i = 0; i < 6; ++i) link.send(tiny_message(i));
 
     EXPECT_TRUE(link.receive().empty());  // everything held at least 1 tick
+    // ...and at most 3: all six arrive within 3 ticks after the send tick.
     std::size_t total = 0;
     for (int tick = 0; tick < 3 && total < 6; ++tick) total += link.receive().size();
     EXPECT_EQ(total, 6u);
@@ -233,20 +233,6 @@ TEST(fleet_occupancy, staleness_bound_is_checked_per_included_pole) {
     EXPECT_FALSE(snap.within_staleness(39, 10));
 }
 
-TEST(fleet_occupancy, reader_serves_from_cache_until_next_publish) {
-    fleet::occupancy_board board{2};
-    board.publish(sample_snapshot(1, 2, 4));
-    fleet::occupancy_reader reader{board};
-    EXPECT_EQ(reader.snapshot().tick, 1u);
-    EXPECT_EQ(reader.snapshot().tick, 1u);
-    EXPECT_EQ(reader.refreshes(), 1u);
-    EXPECT_EQ(reader.cache_hits(), 1u);
-
-    board.publish(sample_snapshot(2, 2, 6));
-    EXPECT_EQ(reader.snapshot().tick, 2u);
-    EXPECT_EQ(reader.refreshes(), 2u);
-}
-
 // TSan target: one writer hammering the board while readers take
 // snapshots. Every slot of a published snapshot carries the same count,
 // so any mixed (torn) snapshot is detectable by value.
@@ -285,7 +271,6 @@ TEST(fleet_occupancy, concurrent_readers_never_see_torn_snapshots) {
 fleet::watchdog_config fast_watchdog() {
     fleet::watchdog_config wd;
     wd.max_consecutive_dropped = 3;
-    wd.max_checksum_failures = 2;
     wd.backoff_base_ticks = 4;
     wd.backoff_cap_ticks = 64;
     wd.backoff_jitter_fraction = 0.0;  // exact backoff arithmetic
@@ -296,7 +281,7 @@ fleet::watchdog_config fast_watchdog() {
 TEST(fleet_watchdog, dead_frames_quarantine_then_backoff_then_recover) {
     const extent_classifier classifier;
     fleet::pole_runtime pole{"p0", 42,        det_config(), {},
-                             fast_watchdog(), classifier,   nullptr, 8};
+                             fast_watchdog(), classifier,   nullptr};
     rng frames{9};
 
     std::uint64_t tick = 0;
@@ -305,7 +290,7 @@ TEST(fleet_watchdog, dead_frames_quarantine_then_backoff_then_recover) {
     good.frame_index = 0;
     good.cloud = synth_frame(frames, 2);
     pole.submit(good);
-    pole.run_tick(++tick, 4);
+    pole.run_tick(++tick);
     ASSERT_EQ(pole.state(), fleet::pole_state::live);
     ASSERT_TRUE(pole.has_good_count());
     const std::uint64_t epoch_before = pole.supervisor().health().epoch;
@@ -315,7 +300,7 @@ TEST(fleet_watchdog, dead_frames_quarantine_then_backoff_then_recover) {
         fleet::link_message dead;
         dead.frame_index = i;
         pole.submit(dead);
-        pole.run_tick(++tick, 4);
+        pole.run_tick(++tick);
     }
     ASSERT_EQ(pole.state(), fleet::pole_state::quarantined);
     EXPECT_EQ(pole.stats().quarantines, 1u);
@@ -326,12 +311,12 @@ TEST(fleet_watchdog, dead_frames_quarantine_then_backoff_then_recover) {
     during.frame_index = 90;
     during.cloud = synth_frame(frames, 1);
     pole.submit(during);
-    pole.run_tick(++tick, 4);
+    pole.run_tick(++tick);
     EXPECT_EQ(pole.state(), fleet::pole_state::quarantined);
     EXPECT_GE(pole.stats().rejected_quarantined, 1u);
 
     // Idle out the backoff; the expiry tick restarts into probation.
-    while (pole.state() == fleet::pole_state::quarantined) pole.run_tick(++tick, 4);
+    while (pole.state() == fleet::pole_state::quarantined) pole.run_tick(++tick);
     EXPECT_EQ(pole.state(), fleet::pole_state::probation);
     EXPECT_EQ(pole.stats().restarts, 1u);
     // The restart bumped the supervisor's health epoch (and wiped its
@@ -345,7 +330,7 @@ TEST(fleet_watchdog, dead_frames_quarantine_then_backoff_then_recover) {
         msg.frame_index = i;
         msg.cloud = synth_frame(frames, 1);
         pole.submit(msg);
-        pole.run_tick(++tick, 4);
+        pole.run_tick(++tick);
     }
     EXPECT_EQ(pole.state(), fleet::pole_state::live);
     EXPECT_EQ(pole.backoff_attempt(), 0u);  // recovery cleared the escalation
@@ -355,7 +340,7 @@ TEST(fleet_watchdog, backoff_escalates_exponentially_and_caps) {
     const extent_classifier classifier;
     auto wd = fast_watchdog();
     wd.probation_recovery_streak = 1;
-    fleet::pole_runtime pole{"p0", 43, det_config(), {}, wd, classifier, nullptr, 8};
+    fleet::pole_runtime pole{"p0", 43, det_config(), {}, wd, classifier, nullptr};
 
     std::uint64_t tick = 0;
     std::uint64_t next_frame = 0;
@@ -366,13 +351,13 @@ TEST(fleet_watchdog, backoff_escalates_exponentially_and_caps) {
             fleet::link_message dead;
             dead.frame_index = next_frame++;
             pole.submit(dead);
-            pole.run_tick(++tick, 4);
+            pole.run_tick(++tick);
         }
         backoffs.push_back(pole.resume_tick() - tick);
         // Ride out the quarantine; probation begins at expiry. A drop in
         // probation re-quarantines immediately, which is how rounds > 0
         // escalate without a full dropped streak.
-        while (pole.state() == fleet::pole_state::quarantined) pole.run_tick(++tick, 4);
+        while (pole.state() == fleet::pole_state::quarantined) pole.run_tick(++tick);
     }
     // attempt never reset (no good frames): 4, 8, 16, 32, 64, 64-capped.
     const std::vector<std::uint64_t> expected{4, 8, 16, 32, 64, 64};
@@ -386,14 +371,14 @@ TEST(fleet_watchdog, backoff_jitter_is_bounded_and_deterministic) {
 
     auto run_one = [&](std::uint64_t seed) {
         fleet::pole_runtime pole{"p0", seed,      det_config(), {}, wd,
-                                 classifier, nullptr, 8};
+                                 classifier, nullptr};
         std::uint64_t tick = 0;
         std::uint64_t frame = 0;
         while (pole.state() != fleet::pole_state::quarantined) {
             fleet::link_message dead;
             dead.frame_index = frame++;
             pole.submit(dead);
-            pole.run_tick(++tick, 4);
+            pole.run_tick(++tick);
         }
         return pole.resume_tick() - tick;
     };
@@ -408,7 +393,7 @@ TEST(fleet_watchdog, backoff_jitter_is_bounded_and_deterministic) {
 TEST(fleet_watchdog, probation_flap_requarantines_with_escalated_backoff) {
     const extent_classifier classifier;
     fleet::pole_runtime pole{"p0", 44,        det_config(), {},
-                             fast_watchdog(), classifier,   nullptr, 8};
+                             fast_watchdog(), classifier,   nullptr};
     rng frames{10};
 
     std::uint64_t tick = 0;
@@ -417,9 +402,9 @@ TEST(fleet_watchdog, probation_flap_requarantines_with_escalated_backoff) {
         fleet::link_message dead;
         dead.frame_index = frame++;
         pole.submit(dead);
-        pole.run_tick(++tick, 4);
+        pole.run_tick(++tick);
     }
-    while (pole.state() == fleet::pole_state::quarantined) pole.run_tick(++tick, 4);
+    while (pole.state() == fleet::pole_state::quarantined) pole.run_tick(++tick);
     ASSERT_EQ(pole.state(), fleet::pole_state::probation);
 
     // One good frame (progress, but streak needs 2)...
@@ -427,14 +412,14 @@ TEST(fleet_watchdog, probation_flap_requarantines_with_escalated_backoff) {
     good.frame_index = frame++;
     good.cloud = synth_frame(frames, 1);
     pole.submit(good);
-    pole.run_tick(++tick, 4);
+    pole.run_tick(++tick);
     ASSERT_EQ(pole.state(), fleet::pole_state::probation);
 
     // ...then a dead frame: a flap, back to quarantine with attempt 1.
     fleet::link_message dead;
     dead.frame_index = frame++;
     pole.submit(dead);
-    pole.run_tick(++tick, 4);
+    pole.run_tick(++tick);
     EXPECT_EQ(pole.state(), fleet::pole_state::quarantined);
     EXPECT_EQ(pole.stats().quarantines, 2u);
     EXPECT_EQ(pole.resume_tick() - tick, 8u);  // base << 1: escalated
@@ -444,11 +429,11 @@ TEST(fleet_watchdog, hung_pole_is_quarantined_after_silent_ticks) {
     const extent_classifier classifier;
     auto wd = fast_watchdog();
     wd.max_silent_ticks = 3;
-    fleet::pole_runtime pole{"p0", 45, det_config(), {}, wd, classifier, nullptr, 8};
+    fleet::pole_runtime pole{"p0", 45, det_config(), {}, wd, classifier, nullptr};
 
     std::uint64_t tick = 0;
     for (int i = 0; i < 4 && pole.state() == fleet::pole_state::live; ++i) {
-        pole.run_tick(++tick, 4);  // nothing ever arrives
+        pole.run_tick(++tick);  // nothing ever arrives
     }
     EXPECT_EQ(pole.state(), fleet::pole_state::quarantined);
 }
@@ -458,19 +443,21 @@ TEST(fleet_watchdog, checksum_failure_streak_quarantines) {
     fleet::link_fault_config corrupting;
     corrupting.corrupt_prob = 1.0;
     fleet::pole_runtime pole{"p0", 46,        det_config(), corrupting,
-                             fast_watchdog(), classifier,   nullptr, 8};
+                             fast_watchdog(), classifier,   nullptr};
     rng frames{11};
 
+    // Four consecutive corrupt messages trip the watchdog; three do not.
     std::uint64_t tick = 0;
-    for (std::uint64_t i = 0; i < 2; ++i) {
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(pole.state(), fleet::pole_state::live) << "after " << i << " corrupt";
         fleet::link_message msg;
         msg.frame_index = i;
         msg.cloud = synth_frame(frames, 1);
         pole.submit(msg);
-        pole.run_tick(++tick, 4);
+        pole.run_tick(++tick);
     }
     EXPECT_EQ(pole.state(), fleet::pole_state::quarantined);
-    EXPECT_EQ(pole.stats().checksum_failures, 2u);
+    EXPECT_EQ(pole.stats().checksum_failures, 4u);
     EXPECT_EQ(pole.stats().processed, 0u);  // nothing corrupted reached the pipeline
 }
 
@@ -479,7 +466,7 @@ TEST(fleet_watchdog, link_duplicates_are_suppressed_once_processed) {
     fleet::link_fault_config duplicating;
     duplicating.duplicate_prob = 1.0;
     fleet::pole_runtime pole{"p0", 47,        det_config(), duplicating,
-                             fast_watchdog(), classifier,   nullptr, 8};
+                             fast_watchdog(), classifier,   nullptr};
     rng frames{12};
 
     std::uint64_t tick = 0;
@@ -488,7 +475,7 @@ TEST(fleet_watchdog, link_duplicates_are_suppressed_once_processed) {
         msg.frame_index = i;
         msg.cloud = synth_frame(frames, 1);
         pole.submit(msg);
-        pole.run_tick(++tick, 8);
+        pole.run_tick(++tick);
     }
     EXPECT_EQ(pole.stats().processed, 5u);
     EXPECT_EQ(pole.stats().duplicates_dropped, 5u);
@@ -642,16 +629,13 @@ TEST(fleet, inbox_overflow_sheds_oldest) {
     setups[0].supervisor = det_config();
     setups[0].primary = &classifier;
 
-    fleet::fleet_config cfg;
-    cfg.frames_per_tick = 1;
-    cfg.max_inbox = 2;
-    fleet::fleet_manager fleet{cfg, setups};
+    fleet::fleet_manager fleet{{}, setups};
 
-    const auto corpus = synth_corpus(800, 20);
-    // Submit 4 frames per tick into budget 1 and inbox 2: overflow must
-    // shed the oldest, not block or corrupt.
-    for (std::size_t f = 0; f + 4 <= 20; f += 4) {
-        for (std::size_t k = 0; k < 4; ++k) fleet.submit(0, corpus_message(corpus, f + k));
+    const auto corpus = synth_corpus(800, 36);
+    // Submit 12 frames per tick into an 8-frame inbox that drains 4 per
+    // tick: overflow must shed the oldest, not block or corrupt.
+    for (std::size_t f = 0; f + 12 <= 36; f += 12) {
+        for (std::size_t k = 0; k < 12; ++k) fleet.submit(0, corpus_message(corpus, f + k));
         fleet.tick();
     }
     const std::uint64_t shed = fleet.pole(0).stats().shed_inbox_overflow;
